@@ -719,7 +719,7 @@ pub fn kernels(args: &[String]) -> Result<String, CliError> {
         None => {
             let mut out = String::from("paper benchmarks (add a name to run at test scale):\n");
             for kernel in imt_kernels::Kernel::ALL {
-                let spec = kernel.paper_spec();
+                let spec = kernel.shared_spec(false);
                 writeln!(out, "  {:<6} paper instance: {}", kernel.name(), spec.name)
                     .expect("write to String");
             }
@@ -730,11 +730,7 @@ pub fn kernels(args: &[String]) -> Result<String, CliError> {
                 .into_iter()
                 .find(|k| k.name() == *name)
                 .ok_or_else(|| CliError::new(format!("unknown kernel `{name}`")))?;
-            let spec = if opts.flag("--paper-scale") {
-                kernel.paper_spec()
-            } else {
-                kernel.test_spec()
-            };
+            let spec = kernel.shared_spec(!opts.flag("--paper-scale"));
             let run = spec.run()?;
             let verified = run.stdout == spec.expected_output;
             Ok(format!(
@@ -1255,7 +1251,10 @@ pub fn batch(args: &[String]) -> Result<String, CliError> {
             let config = EncoderConfig::default()
                 .with_block_size(k)
                 .map_err(|e| CliError::new(e.to_string()))?;
-            let request = Request::new(scale.spec(kernel), config);
+            let request = Request::new(
+                kernel.shared_spec(scale == imt_bench::runner::Scale::Test),
+                config,
+            );
             tickets.push(
                 service
                     .submit(request)
@@ -1376,7 +1375,8 @@ pub fn serve(args: &[String]) -> Result<String, CliError> {
                 let config = EncoderConfig::default()
                     .with_block_size(k)
                     .expect("block sizes 4..=7 are valid");
-                match service.submit(Request::new(scale.spec(kernel), config)) {
+                let spec = kernel.shared_spec(scale == imt_bench::runner::Scale::Test);
+                match service.submit(Request::new(spec, config)) {
                     Ok(ticket) => {
                         let response = ticket.wait();
                         latencies

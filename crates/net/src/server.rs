@@ -419,17 +419,19 @@ fn write_response(
 /// human-readable refusal. Kernels resolve against the registry —
 /// arbitrary source never crosses the wire. Shared with the reactor
 /// front-end — both transports admit exactly the same request surface.
+///
+/// A registry kernel is resolved once per process into a shared `Arc`
+/// ([`Kernel::shared_spec`]), so a request costs no source generation
+/// and no golden-model run. The golden check runs when the service
+/// warms a profile: it compares the recorded output with the spec's
+/// expected output.
 pub(crate) fn build_request(net: &NetRequest) -> Result<Request, String> {
     let kernel = Kernel::ALL
         .iter()
         .copied()
         .find(|k| k.name() == net.kernel)
         .ok_or_else(|| format!("unknown kernel `{}`", net.kernel))?;
-    let spec = if net.test_scale {
-        kernel.test_spec()
-    } else {
-        kernel.paper_spec()
-    };
+    let spec = kernel.shared_spec(net.test_scale);
     let mut config = EncoderConfig::default();
     if net.block_size > 0 {
         config = config
@@ -484,6 +486,19 @@ mod tests {
 
         let err = build_request(&NetRequest::new("quux", true)).expect_err("unknown kernel");
         assert!(err.contains("quux"), "{err}");
+    }
+
+    #[test]
+    fn build_request_shares_one_spec_per_registry_kernel() {
+        for test_scale in [true, false] {
+            let first = build_request(&NetRequest::new("tri", test_scale)).expect("builds");
+            let second = build_request(&NetRequest::new("tri", test_scale).with_scheme("gray"))
+                .expect("builds");
+            assert!(
+                Arc::ptr_eq(&first.spec, &second.spec),
+                "test_scale={test_scale}: the spec was rebuilt for a request"
+            );
+        }
     }
 
     #[test]

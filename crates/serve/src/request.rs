@@ -21,8 +21,9 @@ use crate::ServeError;
 pub struct Request {
     /// The kernel instance to encode and evaluate. The spec *is* the
     /// batching key: requests naming the same spec share one profile
-    /// warm per batch.
-    pub spec: KernelSpec,
+    /// warm per batch. Shared, so a front-end can hand every request for
+    /// a registry kernel the same [`imt_kernels::Kernel::shared_spec`].
+    pub spec: Arc<KernelSpec>,
     /// The encoder configuration (block size, table capacities,
     /// transform set).
     pub config: EncoderConfig,
@@ -71,9 +72,10 @@ pub struct Request {
 
 impl Request {
     /// A plain transitions-only request with no deadline and no faults.
-    pub fn new(spec: KernelSpec, config: EncoderConfig) -> Request {
+    /// Takes an owned [`KernelSpec`] or an already shared one.
+    pub fn new(spec: impl Into<Arc<KernelSpec>>, config: EncoderConfig) -> Request {
         Request {
-            spec,
+            spec: spec.into(),
             config,
             scheme: SchemeSpec::TtBbit,
             needs: EvalNeeds::transitions_only(),

@@ -819,10 +819,7 @@ fn execute(warm: &WarmProfile, request: &Request) -> Result<Completed, ServeErro
         )?
     };
     let eval_ns = eval_started.elapsed().as_nanos() as u64;
-    if imt_obs::enabled() {
-        imt_obs::registry::histogram("serve.stage.encode_ns").observe(encode_ns);
-        imt_obs::registry::histogram("serve.stage.eval_ns").observe(eval_ns);
-    }
+    observe_stages(encode_ns, eval_ns);
     let fault = match &request.fault_plan {
         None => None,
         Some(plan) => {
@@ -855,6 +852,15 @@ fn execute(warm: &WarmProfile, request: &Request) -> Result<Completed, ServeErro
     })
 }
 
+/// Records one request's encode and eval stage times; `execute` and
+/// `execute_scheme` both feed the same `serve.stage.*` histograms.
+fn observe_stages(encode_ns: u64, eval_ns: u64) {
+    if imt_obs::enabled() {
+        imt_obs::registry::histogram("serve.stage.encode_ns").observe(encode_ns);
+        imt_obs::registry::histogram("serve.stage.eval_ns").observe(eval_ns);
+    }
+}
+
 /// Executes a non-TT/BBIT request through the [`imt_core::scheme`]
 /// arena: build the encoder, score it via the auto router (cycle-state
 /// schemes go to full simulation), and surface the result in the same
@@ -869,6 +875,7 @@ fn execute_scheme(warm: &WarmProfile, request: &Request) -> Result<Completed, Se
             ),
         });
     }
+    let encode_started = Instant::now();
     let mut scheme = {
         let _span = imt_obs::span!("serve.encode");
         imt_core::scheme::build_scheme(
@@ -878,6 +885,8 @@ fn execute_scheme(warm: &WarmProfile, request: &Request) -> Result<Completed, Se
             &request.config,
         )?
     };
+    let encode_ns = encode_started.elapsed().as_nanos() as u64;
+    let eval_started = Instant::now();
     let (evaluation, path) = {
         let _span = imt_obs::span!("serve.eval");
         imt_core::scheme::evaluate_scheme_auto(
@@ -888,6 +897,8 @@ fn execute_scheme(warm: &WarmProfile, request: &Request) -> Result<Completed, Se
             request.needs,
         )?
     };
+    let eval_ns = eval_started.elapsed().as_nanos() as u64;
+    observe_stages(encode_ns, eval_ns);
     Ok(Completed {
         evaluation: evaluation.to_evaluation(),
         path,
