@@ -139,8 +139,8 @@ pub fn evaluate(
         fetches: summary.instructions,
         baseline_transitions: sink.baseline.total_transitions(),
         encoded_transitions: sink.encoded.total_transitions(),
-        per_lane_baseline: sink.baseline.per_lane().to_vec(),
-        per_lane_encoded: sink.encoded.per_lane().to_vec(),
+        per_lane_baseline: sink.baseline.per_lane(),
+        per_lane_encoded: sink.encoded.per_lane(),
         decode_mismatches: sink.mismatches,
         decoded_fetches: sink.decoder.decoded_fetches(),
         passthrough_fetches: sink.decoder.passthrough_fetches(),

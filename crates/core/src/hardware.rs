@@ -13,8 +13,9 @@
 //!
 //! [`FetchDecoder`] walks these tables against the fetch stream: a BBIT
 //! hit (re)activates decoding at the block's first TT entry; each fetched
-//! word is restored lane by lane through the selected gate with a one-bit
-//! history flip-flop per lane; the `E`/`CT` fields tell the walker when
+//! word is restored through the selected gates with a one-bit history
+//! flip-flop per lane, all lanes in one word-wide step over the entry's
+//! four lane masks; the `E`/`CT` fields tell the walker when
 //! the basic block's schedule is exhausted, after which words pass
 //! through untouched until the next BBIT hit. Fetches with no active
 //! schedule (code outside the encoded region) pass through untouched —
@@ -33,7 +34,7 @@ use imt_bitcode::block::OverlapHistory;
 use imt_bitcode::{Transform, TransformSet};
 
 use crate::protect::{
-    EntryLayout, FaultEvent, FaultOutcome, ProtectedTables, Protection, TableKind,
+    EntryLayout, FaultEvent, FaultOutcome, ProtectedTables, Protection, TableKind, TtView,
 };
 use crate::CoreError;
 
@@ -59,6 +60,42 @@ impl TtEntry {
     /// counter width) — the paper's hardware-cost accounting.
     pub fn storage_bits(lanes: usize, control_bits: u32, ct_bits: u32) -> u64 {
         lanes as u64 * control_bits as u64 + 1 + ct_bits as u64
+    }
+}
+
+/// A TT entry's restore gates for every line at once: four lane masks,
+/// one per truth-table row of [`Transform::table`]. Bit `l` of
+/// `rows[(x << 1) | y]` is `τ_l(x, y)`, the output of line `l`'s
+/// transformation for stored bit `x` and history bit `y`; lines past the
+/// entry's lane count are zero in every row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneMasks([u32; 4]);
+
+impl LaneMasks {
+    /// Transposes the lines' truth tables into row masks (line `l` =
+    /// `lane_transforms[l]`, at most 32 lines).
+    pub(crate) fn new(lane_transforms: &[Transform]) -> Self {
+        debug_assert!(lane_transforms.len() <= 32);
+        let mut rows = [0u32; 4];
+        for (lane, transform) in lane_transforms.iter().enumerate() {
+            let table = u32::from(transform.table());
+            for (row, mask) in rows.iter_mut().enumerate() {
+                *mask |= (table >> row & 1) << lane;
+            }
+        }
+        LaneMasks(rows)
+    }
+
+    /// Restores every line of a chained fetch in one word-wide step:
+    /// `τ_l(stored_l, history_l)` for each line `l`, selected by the
+    /// row the line's `(stored, history)` bits fall in.
+    #[inline]
+    pub(crate) fn restore(self, stored: u32, history: u32) -> u32 {
+        let [m00, m01, m10, m11] = self.0;
+        (m00 & !stored & !history)
+            | (m01 & !stored & history)
+            | (m10 & stored & !history)
+            | (m11 & stored & history)
     }
 }
 
@@ -321,7 +358,9 @@ struct BlockSpan {
 #[derive(Debug)]
 pub struct FetchDecoder {
     tables: ProtectedTables,
-    lanes: usize,
+    /// The bus lanes as a bit mask (the low `lanes` bits): a seed fetch
+    /// restores as `stored & lane_mask`.
+    lane_mask: u32,
     /// The block size the schedule was built for (validated against the
     /// TT entries at construction).
     block_size: usize,
@@ -436,7 +475,7 @@ impl FetchDecoder {
         let spans = compute_spans(tt, bbit);
         Ok(FetchDecoder {
             tables,
-            lanes,
+            lane_mask: u32::MAX >> (32 - lanes),
             block_size,
             overlap,
             state: None,
@@ -520,6 +559,33 @@ impl FetchDecoder {
     /// memory system is expected to refetch the original word through the
     /// fallback path — never execute the encoded bits.
     pub fn on_fetch_classified(&mut self, pc: u32, stored: u32) -> (u32, FetchKind) {
+        let (lane_mask, overlap) = (self.lane_mask, self.overlap);
+        self.walk(pc, stored, |view, run| {
+            if run.block_index == 0 && run.fetch_in_block == 0 {
+                // Seed of the basic block's first (initial) block.
+                return stored & lane_mask;
+            }
+            let history = if run.fetch_in_block == 0 && overlap == OverlapHistory::Stored {
+                // First fetch of a chained block: the overlap bits.
+                run.prev_stored
+            } else {
+                run.prev_decoded
+            };
+            view.masks.restore(stored, history)
+        })
+    }
+
+    /// The Figure 5 walker around one fetch: scrub on a dirty table,
+    /// degraded ranges, the BBIT lookup, the sequential-PC check, the
+    /// `E`/`CT` fetch counter and the history registers. `restore` turns
+    /// the active entry and the run state into the restored word.
+    #[inline]
+    fn walk(
+        &mut self,
+        pc: u32,
+        stored: u32,
+        restore: impl FnOnce(&TtView, &ActiveRun) -> u32,
+    ) -> (u32, FetchKind) {
         if self.tables.is_dirty() {
             self.absorb_scrub();
         }
@@ -559,33 +625,12 @@ impl FetchDecoder {
         // table, a walker crossing the end because an `E` bit flipped
         // away, or an entry quarantined mid-run — is a detected
         // structural fault: degrade the block, never index blindly.
-        let Some(entry) = self.tables.tt_entry(run.tt_index) else {
+        let Some(view) = self.tables.tt_view(run.tt_index) else {
             return self.degrade_run(run, stored);
         };
-
-        // Restore lane by lane.
-        let mut decoded = 0u32;
-        for lane in 0..self.lanes {
-            let stored_bit = stored >> lane & 1 == 1;
-            let bit = if run.block_index == 0 && run.fetch_in_block == 0 {
-                // Seed of the basic block's first (initial) block.
-                stored_bit
-            } else {
-                let history = if run.fetch_in_block == 0 {
-                    // First fetch of a chained block: the overlap bit.
-                    match self.overlap {
-                        OverlapHistory::Stored => run.prev_stored >> lane & 1 == 1,
-                        OverlapHistory::Decoded => run.prev_decoded >> lane & 1 == 1,
-                    }
-                } else {
-                    run.prev_decoded >> lane & 1 == 1
-                };
-                entry.lane_transforms[lane].apply(stored_bit, history)
-            };
-            decoded |= (bit as u32) << lane;
-        }
-        let covers = entry.covers;
-        let end = entry.end;
+        let decoded = restore(view, &run);
+        let covers = view.entry.covers;
+        let end = view.entry.end;
 
         // Advance the walker.
         run.prev_stored = stored;
@@ -738,6 +783,172 @@ mod tests {
     use imt_bitcode::lanes::encode_words;
     use imt_bitcode::stream::{StreamCodec, StreamCodecConfig};
     use imt_bitcode::TransformSet;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    impl FetchDecoder {
+        /// The lane-by-lane restore the word-wide [`LaneMasks`] step
+        /// replaced, kept as the test oracle: every line through its own
+        /// gate and history bit, read from the decoded entry's
+        /// transforms rather than its masks. It shares the walker, so any
+        /// difference is the restore's.
+        fn on_fetch_reference(&mut self, pc: u32, stored: u32) -> (u32, FetchKind) {
+            let (lanes, overlap) = (self.lane_mask.count_ones() as usize, self.overlap);
+            self.walk(pc, stored, |view, run| {
+                let mut decoded = 0u32;
+                for lane in 0..lanes {
+                    let stored_bit = stored >> lane & 1 == 1;
+                    let bit = if run.block_index == 0 && run.fetch_in_block == 0 {
+                        // Seed of the basic block's first (initial) block.
+                        stored_bit
+                    } else {
+                        let history = if run.fetch_in_block == 0 {
+                            // First fetch of a chained block: the overlap bit.
+                            match overlap {
+                                OverlapHistory::Stored => run.prev_stored >> lane & 1 == 1,
+                                OverlapHistory::Decoded => run.prev_decoded >> lane & 1 == 1,
+                            }
+                        } else {
+                            run.prev_decoded >> lane & 1 == 1
+                        };
+                        view.entry.lane_transforms[lane].apply(stored_bit, history)
+                    };
+                    decoded |= (bit as u32) << lane;
+                }
+                decoded
+            })
+        }
+    }
+
+    #[test]
+    fn lane_masks_restore_every_transform_on_every_row() {
+        for (i, &t) in Transform::ALL.iter().enumerate() {
+            // Line 0 carries `t`, line 1 its neighbour: lines stay separate.
+            let other = Transform::ALL[(i + 5) % 16];
+            let masks = LaneMasks::new(&[t, other]);
+            for stored in 0..4u32 {
+                for history in 0..4u32 {
+                    let expected = u32::from(t.apply(stored & 1 == 1, history & 1 == 1))
+                        | u32::from(other.apply(stored & 2 == 2, history & 2 == 2)) << 1;
+                    assert_eq!(masks.restore(stored, history), expected, "{t} {other}");
+                    // Lines past the entry never produce a bit.
+                    assert_eq!(masks.restore(stored | !3, history | !3) & !3, 0);
+                }
+            }
+        }
+    }
+
+    /// Random tables for `lanes` lines at block size `k` over `set`: one
+    /// to four basic blocks of one to three entries with arbitrary
+    /// transforms and `CT` values, each block 256 bytes apart.
+    fn random_schedule(
+        rng: &mut StdRng,
+        lanes: usize,
+        k: usize,
+        set: TransformSet,
+    ) -> (TransformationTable, Bbit) {
+        let members: Vec<Transform> = set.iter().collect();
+        let mut tt = TransformationTable::new();
+        let mut bbit = Bbit::new();
+        for block in 0..rng.gen_range(1usize..=4) {
+            let entries = rng.gen_range(1usize..=3);
+            let first = tt.len();
+            for e in 0..entries {
+                tt.push(TtEntry {
+                    lane_transforms: (0..lanes)
+                        .map(|_| members[rng.gen_range(0..members.len())])
+                        .collect(),
+                    end: e + 1 == entries,
+                    covers: rng.gen_range(1..=k),
+                });
+            }
+            bbit.push(BbitEntry {
+                pc: 0x0040_0000 + 0x100 * block as u32,
+                tt_index: first,
+            });
+        }
+        (tt, bbit)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The word-wide decoder against the per-lane reference on random
+        /// schedules, arbitrary stored words, wandering control flow and
+        /// table upsets between fetches — including the garbage an
+        /// unprotected upset decodes.
+        #[test]
+        fn word_wide_decoder_matches_the_per_lane_reference(
+            lanes in 1usize..=32,
+            k in 2usize..=8,
+            decoded_overlap in any::<bool>(),
+            sixteen in any::<bool>(),
+            protection in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let overlap = if decoded_overlap {
+                OverlapHistory::Decoded
+            } else {
+                OverlapHistory::Stored
+            };
+            let set = if sixteen {
+                TransformSet::ALL_SIXTEEN
+            } else {
+                TransformSet::CANONICAL_EIGHT
+            };
+            let protection = Protection::ALL[protection];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (tt, bbit) = random_schedule(&mut rng, lanes, k, set);
+            let build = || {
+                FetchDecoder::with_protection(&tt, &bbit, lanes, k, overlap, set, protection)
+                    .unwrap()
+            };
+            let (mut fast, mut reference) = (build(), build());
+            let tt_bits = fast.tables().tt_stored_bits();
+            let bbit_bits = fast.tables().bbit_stored_bits();
+            let region = 0x100 * bbit.len() as u32;
+            let mut pc = 0x0040_0000u32;
+            for step in 0..rng.gen_range(0usize..300) {
+                match rng.gen_range(0u32..100) {
+                    0..=5 => {
+                        let (entry, bit) = (rng.gen_range(0..tt.len()), rng.gen_range(0..tt_bits));
+                        prop_assert_eq!(
+                            fast.inject_tt_bit(entry, bit).is_ok(),
+                            reference.inject_tt_bit(entry, bit).is_ok()
+                        );
+                        continue;
+                    }
+                    6..=8 => {
+                        let (entry, bit) =
+                            (rng.gen_range(0..bbit.len()), rng.gen_range(0..bbit_bits));
+                        prop_assert_eq!(
+                            fast.inject_bbit_bit(entry, bit).is_ok(),
+                            reference.inject_bbit_bit(entry, bit).is_ok()
+                        );
+                        continue;
+                    }
+                    // Jump to a basic block's start ...
+                    9..=24 => pc = 0x0040_0000 + 0x100 * rng.gen_range(0..bbit.len() as u32),
+                    // ... or anywhere in and around the scheduled region.
+                    25..=29 => pc = 0x0040_0000 + 4 * rng.gen_range(0..region / 4 + 16),
+                    _ => {}
+                }
+                let stored = rng.gen::<u32>();
+                prop_assert_eq!(
+                    fast.on_fetch_classified(pc, stored),
+                    reference.on_fetch_reference(pc, stored),
+                    "step {} pc {:#x}", step, pc
+                );
+                pc = pc.wrapping_add(4);
+            }
+            prop_assert_eq!(fast.decoded_fetches(), reference.decoded_fetches());
+            prop_assert_eq!(fast.passthrough_fetches(), reference.passthrough_fetches());
+            prop_assert_eq!(fast.degraded_fetches(), reference.degraded_fetches());
+            prop_assert_eq!(fast.take_events(), reference.take_events());
+            prop_assert_eq!(fast.degraded_ranges(), reference.degraded_ranges());
+        }
+    }
 
     /// Builds a TT + BBIT for a single "basic block" of `words` starting at
     /// `pc`, mirroring what the pipeline does.

@@ -26,7 +26,7 @@
 use imt_bitcode::{Transform, TransformSet};
 
 use crate::error::CoreError;
-use crate::hardware::{Bbit, BbitEntry, TransformationTable, TtEntry};
+use crate::hardware::{Bbit, BbitEntry, LaneMasks, TransformationTable, TtEntry};
 
 /// Check code protecting each TT/BBIT entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -130,12 +130,19 @@ pub struct FaultEvent {
     pub outcome: FaultOutcome,
 }
 
+/// [`EntryLayout`]'s selector slot for a transform outside its set.
+const NO_SELECTOR: u8 = u8::MAX;
+
 /// The serialized bit order of TT and BBIT entries for one configuration —
 /// the single source of truth shared by the check codes, the fault
 /// injector's bit addressing, and the budget accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryLayout {
     set: TransformSet,
+    /// The set's members in preference order: selector → transform.
+    members: [Transform; 16],
+    /// Truth table → selector, [`NO_SELECTOR`] outside the set.
+    selectors: [u8; 16],
     lanes: usize,
     block_size: usize,
     control_bits: u32,
@@ -148,8 +155,16 @@ impl EntryLayout {
     /// Builds the layout for `lanes` bus lines, transformation set `set`,
     /// block size `block_size` and a TT of `tt_capacity` entries.
     pub fn new(set: TransformSet, lanes: usize, block_size: usize, tt_capacity: usize) -> Self {
+        let mut members = [Transform::IDENTITY; 16];
+        let mut selectors = [NO_SELECTOR; 16];
+        for (selector, transform) in set.iter().enumerate() {
+            members[selector] = transform;
+            selectors[usize::from(transform.table())] = selector as u8;
+        }
         EntryLayout {
             set,
+            members,
+            selectors,
             lanes,
             block_size,
             control_bits: set.control_bits().max(1),
@@ -190,21 +205,19 @@ impl EntryLayout {
         if entry.covers == 0 || entry.covers > self.block_size {
             return None;
         }
-        let order: Vec<Transform> = self.set.iter().collect();
         let mut bits = Vec::with_capacity(self.tt_data_bits());
         for transform in &entry.lane_transforms {
-            let selector = order.iter().position(|t| t == transform)?;
-            for b in 0..self.control_bits {
-                bits.push(selector >> b & 1 == 1);
+            let selector = self.selectors[usize::from(transform.table())];
+            if selector == NO_SELECTOR {
+                return None;
             }
+            push_field(&mut bits, usize::from(selector), self.control_bits);
         }
         bits.push(entry.end);
         // CT is stored biased (`covers - 1`) so the full-tail value
         // `covers == k` fits when `k` is a power of two (e.g. k=4 in the
         // 2-bit counter sized for `k-1`).
-        for b in 0..self.ct_bits {
-            bits.push((entry.covers - 1) >> b & 1 == 1);
-        }
+        push_field(&mut bits, entry.covers - 1, self.ct_bits);
         Some(bits)
     }
 
@@ -212,7 +225,6 @@ impl EntryLayout {
     /// invalid bit pattern (selector outside the set, `CT` not in
     /// `1..=k`).
     fn unpack_tt(&self, bits: &[bool]) -> Result<TtEntry, FaultOutcome> {
-        let order: Vec<Transform> = self.set.iter().collect();
         let mut at = 0usize;
         let mut field = |width: u32| {
             let mut value = 0usize;
@@ -225,10 +237,10 @@ impl EntryLayout {
         let mut lane_transforms = Vec::with_capacity(self.lanes);
         for _ in 0..self.lanes {
             let selector = field(self.control_bits);
-            match order.get(selector) {
-                Some(&t) => lane_transforms.push(t),
-                None => return Err(FaultOutcome::Structural),
+            if selector >= self.set.len() {
+                return Err(FaultOutcome::Structural);
             }
+            lane_transforms.push(self.members[selector]);
         }
         let end = field(1) == 1;
         let covers = field(self.ct_bits) + 1;
@@ -245,12 +257,8 @@ impl EntryLayout {
     /// Serializes a BBIT entry: PC tag, then the TT index.
     fn pack_bbit(&self, entry: &BbitEntry) -> Vec<bool> {
         let mut bits = Vec::with_capacity(self.bbit_data_bits());
-        for b in 0..32 {
-            bits.push(entry.pc >> b & 1 == 1);
-        }
-        for b in 0..self.tt_index_bits {
-            bits.push(entry.tt_index >> b & 1 == 1);
-        }
+        push_field(&mut bits, entry.pc as usize, 32);
+        push_field(&mut bits, entry.tt_index, self.tt_index_bits);
         bits
     }
 
@@ -270,6 +278,11 @@ impl EntryLayout {
         }
         Ok(BbitEntry { pc, tt_index })
     }
+}
+
+/// Appends the low `width` bits of `value`, LSB first.
+fn push_field(bits: &mut Vec<bool>, value: usize, width: u32) {
+    bits.extend((0..width).map(|b| value >> b & 1 == 1));
 }
 
 /// Check bits `r` a SEC Hamming code needs for `m` data bits
@@ -336,15 +349,15 @@ fn hamming_decode(code: &mut [bool]) -> (Vec<bool>, Option<FaultOutcome>) {
 }
 
 /// Encodes `data` under `protection` into the stored code word.
-fn encode_word(protection: Protection, data: &[bool]) -> Vec<bool> {
+fn encode_word(protection: Protection, mut data: Vec<bool>) -> Vec<bool> {
     match protection {
-        Protection::None => data.to_vec(),
+        Protection::None => data,
         Protection::Parity => {
-            let mut word = data.to_vec();
-            word.push(data.iter().fold(false, |p, &b| p ^ b));
-            word
+            let parity = data.iter().fold(false, |p, &b| p ^ b);
+            data.push(parity);
+            data
         }
-        Protection::Sec => hamming_encode(data),
+        Protection::Sec => hamming_encode(&data),
     }
 }
 
@@ -371,6 +384,26 @@ fn decode_word(
     }
 }
 
+/// One live TT entry in the materialized view: the decoded fields and
+/// the [`LaneMasks`] the fetch decoder restores with. Both come from the
+/// same decoded selectors, built together by [`ProtectedTables::new`] and
+/// rebuilt together by [`ProtectedTables::scrub`], so a fault that
+/// changes or quarantines an entry changes its masks in the same step.
+#[derive(Debug, Clone)]
+pub(crate) struct TtView {
+    /// The decoded entry.
+    pub(crate) entry: TtEntry,
+    /// `LaneMasks::new(&entry.lane_transforms)`.
+    pub(crate) masks: LaneMasks,
+}
+
+impl TtView {
+    fn new(entry: TtEntry) -> Self {
+        let masks = LaneMasks::new(&entry.lane_transforms);
+        TtView { entry, masks }
+    }
+}
+
 /// The TT and BBIT as protected SRAM: every entry stored as its raw code
 /// word, with materialized decoded views refreshed by [`scrub`].
 ///
@@ -386,7 +419,7 @@ pub struct ProtectedTables {
     layout: EntryLayout,
     tt_code: Vec<Vec<bool>>,
     bbit_code: Vec<Vec<bool>>,
-    tt_view: Vec<Option<TtEntry>>,
+    tt_view: Vec<Option<TtView>>,
     bbit_view: Vec<Option<BbitEntry>>,
     dirty: bool,
 }
@@ -411,13 +444,13 @@ impl ProtectedTables {
             let data = layout.pack_tt(entry).ok_or(CoreError::TableImage {
                 detail: "TT entry does not fit the protection layout's transform set",
             })?;
-            tt_code.push(encode_word(protection, &data));
-            tt_view.push(Some(entry.clone()));
+            tt_code.push(encode_word(protection, data));
+            tt_view.push(Some(TtView::new(entry.clone())));
         }
         let mut bbit_code = Vec::with_capacity(bbit.len());
         let mut bbit_view = Vec::with_capacity(bbit.len());
         for entry in bbit.entries() {
-            bbit_code.push(encode_word(protection, &layout.pack_bbit(entry)));
+            bbit_code.push(encode_word(protection, layout.pack_bbit(entry)));
             bbit_view.push(Some(*entry));
         }
         Ok(ProtectedTables {
@@ -540,7 +573,7 @@ impl ProtectedTables {
                 None => {}
             }
             match self.layout.unpack_tt(&data) {
-                Ok(entry) => self.tt_view[index] = Some(entry),
+                Ok(entry) => self.tt_view[index] = Some(TtView::new(entry)),
                 Err(outcome) => {
                     self.tt_view[index] = None;
                     events.push(FaultEvent {
@@ -603,7 +636,14 @@ impl ProtectedTables {
 
     /// The decoded TT entry at `index`, unless absent or quarantined.
     pub fn tt_entry(&self, index: usize) -> Option<&TtEntry> {
-        self.tt_view.get(index).and_then(|e| e.as_ref())
+        self.tt_view(index).map(|view| &view.entry)
+    }
+
+    /// The live view of TT entry `index` (entry and lane masks), unless
+    /// absent or quarantined.
+    #[inline]
+    pub(crate) fn tt_view(&self, index: usize) -> Option<&TtView> {
+        self.tt_view.get(index).and_then(Option::as_ref)
     }
 
     /// Whether TT entry `index` is quarantined.
@@ -731,7 +771,7 @@ mod tests {
     #[test]
     fn parity_detects_any_single_flip() {
         let data: Vec<bool> = (0..100).map(|i| i % 7 == 0).collect();
-        let clean = encode_word(Protection::Parity, &data);
+        let clean = encode_word(Protection::Parity, data.clone());
         for flip in 0..clean.len() {
             let mut word = clean.clone();
             word[flip] = !word[flip];

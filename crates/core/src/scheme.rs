@@ -775,8 +775,8 @@ pub fn evaluate_scheme_full(
         fetches: summary.instructions,
         baseline_transitions: sink.baseline.total_transitions(),
         encoded_transitions: sink.driven.total_transitions() + sink.extra,
-        per_lane_baseline: sink.baseline.per_lane().to_vec(),
-        per_lane_encoded: sink.driven.per_lane().to_vec(),
+        per_lane_baseline: sink.baseline.per_lane(),
+        per_lane_encoded: sink.driven.per_lane(),
         extra_line_transitions: sink.extra,
         decoded_fetches: sink.decoded_fetches,
         decode_mismatches: sink.mismatches,

@@ -77,6 +77,7 @@ mod tests {
 
     #[test]
     fn events_record_only_when_enabled() {
+        let _lock = crate::test_lock();
         let before = crate::mode();
         set_mode(Mode::Off);
         event("event.test.gated", "a", Json::Null);
@@ -97,6 +98,7 @@ mod tests {
 
     #[test]
     fn snapshot_sorts_by_kind_and_label() {
+        let _lock = crate::test_lock();
         let before = crate::mode();
         set_mode(Mode::Json);
         event("event.test.sort", "z", Json::U64(1));

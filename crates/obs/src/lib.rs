@@ -253,12 +253,25 @@ macro_rules! span {
     };
 }
 
+/// Serialises this crate's unit tests that touch process-global state —
+/// the mode, the metric registry, the event buffer and the trace rings —
+/// so a sibling test cannot flip the mode or reset a metric under them.
+/// The lock guards no data, so a guard poisoned by a panicking test (the
+/// `should_panic` ones) is taken over as is.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn mode_env_parsing() {
+        let _lock = crate::test_lock();
         // Exercise the parser directly; the global mode is shared across
         // the test binary, so only set_mode round-trips are checked there.
         std::env::remove_var("IMT_OBS");
@@ -276,6 +289,7 @@ mod tests {
 
     #[test]
     fn set_mode_round_trips() {
+        let _lock = crate::test_lock();
         let before = mode();
         set_mode(Mode::Report);
         assert_eq!(mode(), Mode::Report);
@@ -317,6 +331,7 @@ mod tests {
 
     #[test]
     fn macros_cache_handles() {
+        let _lock = crate::test_lock();
         let a = counter!("lib.macro_counter");
         let b = counter!("lib.macro_counter");
         assert!(std::ptr::eq(a, b));

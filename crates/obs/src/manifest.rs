@@ -477,7 +477,11 @@ mod tests {
     use super::*;
     use crate::registry::SnapshotValue;
 
+    /// Callers hold [`crate::test_lock`]: the registry is zeroed first so
+    /// the captured counter reads exactly this manifest's 7, whichever
+    /// caller ran before.
     fn sample_manifest() -> Manifest {
+        crate::registry::reset();
         crate::counter_labeled("manifest.test.counter", "mmul/k5").add(7);
         crate::histogram("manifest.test.hist").observe(9);
         let mut m = Manifest::new("manifest-test");
@@ -488,6 +492,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_and_validates() {
+        let _lock = crate::test_lock();
         let m = sample_manifest();
         let doc = Json::parse(&m.render()).unwrap();
         validate(&doc).unwrap();
@@ -579,6 +584,7 @@ mod tests {
 
     #[test]
     fn guard_is_defused_by_finish_run_and_complete() {
+        let _lock = crate::test_lock();
         let before = crate::mode();
         crate::set_mode(Mode::Off);
         let guard = RunGuard::begin("guard-defuse-finish");
@@ -595,6 +601,7 @@ mod tests {
 
     #[test]
     fn dropped_guard_flushes_an_aborted_manifest() {
+        let _lock = crate::test_lock();
         let dir = std::env::temp_dir().join("imt-obs-guard-test");
         let _ = std::fs::remove_dir_all(&dir);
         let path = write_aborted("guard-abort-test", &dir).unwrap();
@@ -620,9 +627,7 @@ mod tests {
     fn aborted_flush_drains_the_trace_rings() {
         let dir = std::env::temp_dir().join("imt-obs-guard-trace-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let _lock = crate::trace::TRACE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _lock = crate::test_lock();
         let before = crate::mode();
         crate::set_mode(Mode::Trace);
         crate::trace::reset();
@@ -695,6 +700,7 @@ mod tests {
 
     #[test]
     fn write_creates_files_under_dir() {
+        let _lock = crate::test_lock();
         let dir = std::env::temp_dir().join("imt-obs-manifest-test");
         let _ = std::fs::remove_dir_all(&dir);
         let m = sample_manifest();

@@ -529,6 +529,7 @@ mod tests {
 
     #[test]
     fn histogram_summary_statistics() {
+        let _lock = crate::test_lock();
         let h = histogram("registry.test.hist");
         for v in [0u64, 1, 3, 3, 100] {
             h.observe(v);
@@ -546,6 +547,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_min_is_zero() {
+        let _lock = crate::test_lock();
         let h = histogram("registry.test.hist_empty");
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
@@ -554,6 +556,7 @@ mod tests {
 
     #[test]
     fn labels_address_distinct_metrics() {
+        let _lock = crate::test_lock();
         let a = counter_labeled("registry.test.labels", "mmul/k5");
         let b = counter_labeled("registry.test.labels", "mmul/k6");
         let a2 = counter_labeled("registry.test.labels", "mmul/k5");
@@ -568,12 +571,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "already registered as a counter")]
     fn kind_collision_panics() {
+        let _lock = crate::test_lock();
         counter("registry.test.kind_collision");
         gauge("registry.test.kind_collision");
     }
 
     #[test]
     fn concurrent_counter_increments_do_not_lose_updates() {
+        let _lock = crate::test_lock();
         let c = counter("registry.test.concurrent");
         const THREADS: usize = 8;
         const PER_THREAD: u64 = 10_000;
@@ -596,6 +601,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_reset_zeroes_in_place() {
+        let _lock = crate::test_lock();
         let c = counter_labeled("registry.test.snap", "b");
         counter_labeled("registry.test.snap", "a").inc();
         c.add(3);
@@ -616,6 +622,7 @@ mod tests {
 
     #[test]
     fn gauge_set_max_ratchets() {
+        let _lock = crate::test_lock();
         let g = gauge("registry.test.gauge_max");
         g.set(10);
         g.set_max(5);
@@ -626,6 +633,7 @@ mod tests {
 
     #[test]
     fn span_stat_aggregates() {
+        let _lock = crate::test_lock();
         let s = span_stat("registry.test.span");
         s.record(100);
         s.record(300);

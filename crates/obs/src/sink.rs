@@ -122,6 +122,7 @@ mod tests {
 
     #[test]
     fn report_lists_each_metric_kind() {
+        let _lock = crate::test_lock();
         crate::counter("sink.test.counter").add(2);
         crate::gauge_labeled("sink.test.gauge", "mmul").set(9);
         crate::histogram("sink.test.hist").observe(4);
@@ -145,6 +146,7 @@ mod tests {
 
     #[test]
     fn jsonl_lines_parse_individually() {
+        let _lock = crate::test_lock();
         crate::counter("sink.test.jsonl").inc();
         let metrics: Vec<_> = registry::snapshot()
             .into_iter()

@@ -115,6 +115,7 @@ mod tests {
 
     #[test]
     fn timed_records_regardless_of_mode() {
+        let _lock = crate::test_lock();
         let before = crate::mode();
         set_mode(Mode::Off);
         let stat = registry::span_stat("span.test.timed");
@@ -129,6 +130,7 @@ mod tests {
 
     #[test]
     fn gated_span_is_inert_when_off() {
+        let _lock = crate::test_lock();
         let before = crate::mode();
         set_mode(Mode::Off);
         let stat = registry::span_stat("span.test.gated");
@@ -150,6 +152,7 @@ mod tests {
 
     #[test]
     fn nested_spans_sum_into_stats() {
+        let _lock = crate::test_lock();
         let stat = registry::span_stat_labeled("span.test.nested", "outer");
         let inner = registry::span_stat_labeled("span.test.nested", "inner");
         let (o0, i0) = (stat.count(), inner.count());
@@ -166,6 +169,7 @@ mod tests {
 
     #[test]
     fn spans_record_from_worker_threads() {
+        let _lock = crate::test_lock();
         let stat = registry::span_stat("span.test.threads");
         let n0 = stat.count();
         std::thread::scope(|scope| {

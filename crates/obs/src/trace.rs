@@ -710,19 +710,13 @@ pub fn validate_chrome(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Serialises tests (here and in `manifest`) that flip the global mode
-/// into/out of [`crate::Mode::Trace`] or reset the rings: they assert on
-/// ring contents, which are process-global.
-#[cfg(test)]
-pub(crate) static TRACE_TEST_LOCK: Mutex<()> = Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Mode;
 
     fn with_trace_mode<R>(f: impl FnOnce() -> R) -> R {
-        let _guard = TRACE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = crate::test_lock();
         let before = crate::mode();
         crate::set_mode(Mode::Trace);
         reset();
@@ -760,7 +754,7 @@ mod tests {
 
     #[test]
     fn inert_when_tracing_is_off() {
-        let _guard = TRACE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = crate::test_lock();
         let before = crate::mode();
         crate::set_mode(Mode::Json);
         reset();
