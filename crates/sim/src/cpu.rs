@@ -1,10 +1,12 @@
 //! The single-issue in-order functional core.
 //!
-//! Instructions are decoded once at load time; `step` executes one
-//! instruction, streaming the fetched `(pc, word)` pair to an optional
+//! Instructions are decoded once at load time. [`Cpu::step`] executes one
+//! instruction and streams its fetched `(pc, word)` pair to a
 //! [`FetchSink`] — the hook the bus monitors and the encoded-image
-//! evaluator hang off. A per-instruction execution counter is maintained
-//! for hot-loop profiling (`imt-cfg` consumes it).
+//! evaluator hang off. [`Cpu::run_with_sink`] executes whole straight-line
+//! runs: it checks the PC once per run and hands each run to the sink in
+//! one [`FetchSink::on_run`] call. A per-instruction execution counter is
+//! maintained for hot-loop profiling (`imt-cfg` consumes it).
 
 use imt_isa::decode::decode;
 use imt_isa::inst::Inst;
@@ -19,10 +21,32 @@ use crate::mem::Memory;
 /// Implementations must be cheap: the hook sits on the simulator's hot
 /// path. See [`crate::bus::DataBusMonitor`] for the canonical consumer and
 /// [`Tee`] for fan-out to two sinks.
+///
+/// The core delivers fetches in straight-line runs through
+/// [`on_run`](FetchSink::on_run); [`Cpu::step`] delivers one fetch through
+/// [`on_fetch`](FetchSink::on_fetch). A sink that only implements
+/// `on_fetch` sees the same per-fetch sequence either way.
 pub trait FetchSink {
     /// Called once per executed instruction with its address and the
     /// machine word delivered over the instruction bus.
     fn on_fetch(&mut self, pc: u32, word: u32);
+
+    /// Called once per straight-line run, after the run has executed:
+    /// `words[i]` was fetched from `pc + 4*i`.
+    ///
+    /// A run ends at a control transfer, a `syscall` or `break`, or the
+    /// last text word. A run that stops on a fault includes the faulting
+    /// fetch; a run cut off by the step limit includes exactly the
+    /// fetches the limit allowed. The default feeds each fetch to
+    /// [`on_fetch`](FetchSink::on_fetch) in order.
+    #[inline]
+    fn on_run(&mut self, pc: u32, words: &[u32]) {
+        let mut pc = pc;
+        for &word in words {
+            self.on_fetch(pc, word);
+            pc = pc.wrapping_add(4);
+        }
+    }
 }
 
 /// A sink that discards fetches.
@@ -35,6 +59,9 @@ impl FetchSink for NullSink {
 }
 
 /// Fans fetches out to two sinks (compose for more).
+///
+/// A run goes to the first sink whole, then to the second, so each sink
+/// sees its own fetches in program order.
 ///
 /// ```
 /// use imt_sim::bus::DataBusMonitor;
@@ -54,12 +81,23 @@ impl<A: FetchSink, B: FetchSink> FetchSink for Tee<A, B> {
         self.0.on_fetch(pc, word);
         self.1.on_fetch(pc, word);
     }
+
+    #[inline]
+    fn on_run(&mut self, pc: u32, words: &[u32]) {
+        self.0.on_run(pc, words);
+        self.1.on_run(pc, words);
+    }
 }
 
 impl<S: FetchSink + ?Sized> FetchSink for &mut S {
     #[inline]
     fn on_fetch(&mut self, pc: u32, word: u32) {
         (**self).on_fetch(pc, word);
+    }
+
+    #[inline]
+    fn on_run(&mut self, pc: u32, words: &[u32]) {
+        (**self).on_run(pc, words);
     }
 }
 
@@ -94,9 +132,16 @@ pub struct Cpu {
     pc: u32,
     text: Vec<Inst>,
     words: Vec<u32>,
+    /// `run_end[i]`: the last index of the straight-line run entered at
+    /// `i` — the first index `>= i` that ends a run, or the last text word.
+    run_end: Vec<u32>,
     text_base: u32,
     mem: Memory,
     profile: Vec<u64>,
+    /// Difference array of the runs executed since the last fold into
+    /// `profile` (+1 at a run's first index, −1 after its last, wrapping);
+    /// one entry longer than the text. All zero outside `run_with_sink`.
+    pending_runs: Vec<u64>,
     instructions: u64,
     stdout: String,
 }
@@ -129,6 +174,14 @@ impl Cpu {
             })?;
             text.push(inst);
         }
+        let mut run_end = vec![0u32; text.len()];
+        let mut end = text.len().saturating_sub(1) as u32;
+        for (i, inst) in text.iter().enumerate().rev() {
+            if inst.is_control_flow() || matches!(inst, Inst::Syscall | Inst::Break) {
+                end = i as u32;
+            }
+            run_end[i] = end;
+        }
         let mut mem = Memory::new();
         mem.write_bytes(program.data_base, &program.data)?;
         let mut regs = [0u32; 32];
@@ -142,7 +195,9 @@ impl Cpu {
             fcc: false,
             pc: program.entry,
             profile: vec![0; text.len()],
+            pending_runs: vec![0; text.len() + 1],
             words: program.text.clone(),
+            run_end,
             text,
             text_base: program.text_base,
             mem,
@@ -222,7 +277,13 @@ impl Cpu {
         self.run_with_sink(max_steps, &mut NullSink)
     }
 
-    /// Runs until exit, streaming every fetch to `sink`.
+    /// Runs until exit, streaming every fetch to `sink` one straight-line
+    /// run at a time ([`FetchSink::on_run`]).
+    ///
+    /// The PC is checked once per run and each run is clipped to the
+    /// remaining step budget, so fetches, errors, [`Cpu::profile`],
+    /// [`Cpu::instructions`], [`Cpu::pc`] and output all equal those of a
+    /// [`Cpu::step`] loop with the same budget.
     ///
     /// # Errors
     ///
@@ -233,21 +294,9 @@ impl Cpu {
         sink: &mut S,
     ) -> Result<RunSummary, SimError> {
         let start = self.instructions;
-        let result = (|| {
-            for _ in 0..max_steps {
-                match self.step(sink)? {
-                    StepEvent::Continue => {}
-                    StepEvent::Exited(code) => {
-                        return Ok(RunSummary {
-                            exit_code: code,
-                            instructions: self.instructions,
-                        })
-                    }
-                }
-            }
-            Err(SimError::MaxStepsExceeded { limit: max_steps })
-        })();
-        // One gated check per run (not per step): fetches equal executed
+        let result = self.run_runs(max_steps, sink);
+        self.fold_pending_runs();
+        // One gated check per call (not per step): fetches equal executed
         // instructions on this single-issue core, on every exit path.
         if imt_obs::enabled() {
             imt_obs::counter!("sim.runs").inc();
@@ -256,28 +305,98 @@ impl Cpu {
         result
     }
 
+    /// The loop behind [`Cpu::run_with_sink`]; leaves the per-instruction
+    /// counts of the runs it executed in `pending_runs`.
+    fn run_runs<S: FetchSink>(
+        &mut self,
+        max_steps: u64,
+        sink: &mut S,
+    ) -> Result<RunSummary, SimError> {
+        let mut budget = max_steps;
+        loop {
+            if budget == 0 {
+                return Err(SimError::MaxStepsExceeded { limit: max_steps });
+            }
+            let pc = self.pc;
+            let first = self.text_index(pc)?;
+            let run_len = (self.run_end[first] as usize - first + 1) as u64;
+            let last = first + (run_len.min(budget) - 1) as usize;
+            let (mut index, mut at) = (first, pc);
+            let event = loop {
+                match self.exec(at, self.text[index]) {
+                    Ok(StepEvent::Continue) if index != last => {
+                        index += 1;
+                        at = at.wrapping_add(4);
+                    }
+                    event => break event,
+                }
+            };
+            let fetched = index - first + 1;
+            self.pending_runs[first] = self.pending_runs[first].wrapping_add(1);
+            self.pending_runs[index + 1] = self.pending_runs[index + 1].wrapping_sub(1);
+            self.instructions += fetched as u64;
+            budget -= fetched as u64;
+            sink.on_run(pc, &self.words[first..=index]);
+            if let StepEvent::Exited(code) = event? {
+                return Ok(RunSummary {
+                    exit_code: code,
+                    instructions: self.instructions,
+                });
+            }
+        }
+    }
+
+    /// Prefix-sums `pending_runs` into `profile` and clears it.
+    fn fold_pending_runs(&mut self) {
+        let mut running = 0u64;
+        for (count, delta) in self.profile.iter_mut().zip(&mut self.pending_runs) {
+            running = running.wrapping_add(std::mem::take(delta));
+            *count += running;
+        }
+        if let Some(past_end) = self.pending_runs.last_mut() {
+            *past_end = 0;
+        }
+    }
+
+    /// The text index of `pc`.
+    fn text_index(&self, pc: u32) -> Result<usize, SimError> {
+        if pc >= self.text_base && pc.is_multiple_of(4) {
+            let i = ((pc - self.text_base) / 4) as usize;
+            if i < self.text.len() {
+                return Ok(i);
+            }
+        }
+        Err(SimError::PcOutOfText { pc })
+    }
+
     /// Executes one instruction.
+    ///
+    /// This is the per-fetch reference for [`Cpu::run_with_sink`]: it
+    /// reports the fetch through [`FetchSink::on_fetch`] before executing
+    /// it and bumps [`Cpu::profile`] directly.
     ///
     /// # Errors
     ///
     /// [`SimError::PcOutOfText`] if the PC is outside the text segment, or
     /// any data-access or syscall error.
-    #[allow(clippy::too_many_lines)] // one arm per opcode
     pub fn step<S: FetchSink>(&mut self, sink: &mut S) -> Result<StepEvent, SimError> {
         let pc = self.pc;
-        let index = if pc >= self.text_base && pc.is_multiple_of(4) {
-            let i = ((pc - self.text_base) / 4) as usize;
-            if i >= self.text.len() {
-                return Err(SimError::PcOutOfText { pc });
-            }
-            i
-        } else {
-            return Err(SimError::PcOutOfText { pc });
-        };
+        let index = self.text_index(pc)?;
         sink.on_fetch(pc, self.words[index]);
         self.profile[index] += 1;
         self.instructions += 1;
-        let inst = self.text[index];
+        self.exec(pc, self.text[index])
+    }
+
+    /// Executes `inst`, fetched from `pc`: the one definition of
+    /// instruction semantics, shared by [`Cpu::step`] and the run loop.
+    /// Sets the PC to the next instruction unless execution faults.
+    ///
+    /// Always inlined: the run loop relies on it to keep a run's
+    /// instructions free of call overhead.
+    #[inline(always)]
+    #[allow(clippy::too_many_lines)] // one arm per opcode
+    fn exec(&mut self, pc: u32, inst: Inst) -> Result<StepEvent, SimError> {
         let mut next = pc.wrapping_add(4);
 
         use Inst::*;

@@ -21,7 +21,7 @@
 //! ([`FetchEdgeProfile::to_bytes`]) so `imt-core`'s on-disk profile cache
 //! can share one recording across every experiment binary.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use imt_isa::program::Program;
 
@@ -62,15 +62,26 @@ impl std::error::Error for EdgeProfileFormatError {}
 
 /// A [`FetchSink`] that folds the fetch stream into weighted edges.
 ///
+/// It folds each straight-line run in O(1): a run's start fixes its
+/// sequential edges, so they go into a difference array, and the edge
+/// into the run is either sequential or a taken transfer. Taken edges go
+/// to a dense per-source slot; only a source with a second distinct
+/// destination (a `jr` returning to several call sites) spills into a
+/// sorted map. A single fetch is folded as a run of one.
+///
 /// Compose it with other sinks through [`crate::cpu::Tee`], or use
 /// [`FetchEdgeProfile::record`] for the common run-once case.
 #[derive(Debug, Clone)]
 pub struct FetchEdgeRecorder {
     text_base: u32,
-    /// `seq[i]` = weight of the sequential edge `i → i+1`.
+    /// Difference array of the sequential edge weights (wrapping): its
+    /// prefix sum at `i` is the weight of `i → i+1`.
     seq: Vec<u64>,
-    /// Non-sequential edges (taken branches, jumps, returns).
-    other: HashMap<(u32, u32), u64>,
+    /// `taken[src]`: the first non-sequential destination seen from `src`
+    /// and that edge's weight (weight 0: none yet).
+    taken: Vec<(u32, u64)>,
+    /// Non-sequential edges whose source's slot holds another destination.
+    spilled: BTreeMap<(u32, u32), u64>,
     prev: Option<u32>,
     seed: Option<u32>,
     fetches: u64,
@@ -83,7 +94,8 @@ impl FetchEdgeRecorder {
         FetchEdgeRecorder {
             text_base,
             seq: vec![0; text_len],
-            other: HashMap::new(),
+            taken: vec![(0, 0); text_len],
+            spilled: BTreeMap::new(),
             prev: None,
             seed: None,
             fetches: 0,
@@ -94,17 +106,33 @@ impl FetchEdgeRecorder {
     /// come from the run that drove the recorder; they ride along so the
     /// replay evaluator can report them without re-simulating.
     pub fn finish(self, exit_code: i32, stdout: String) -> FetchEdgeProfile {
-        let mut other: Vec<(u32, u32, u64)> = self
-            .other
+        let text_len = self.seq.len();
+        let mut running = 0u64;
+        let seq = self
+            .seq
             .into_iter()
-            .map(|((src, dst), w)| (src, dst, w))
+            .map(|delta| {
+                running = running.wrapping_add(delta);
+                running
+            })
             .collect();
-        // Deterministic order regardless of hash-map iteration.
+        let mut other: Vec<(u32, u32, u64)> = self
+            .taken
+            .into_iter()
+            .zip(0u32..)
+            .filter(|&((_, w), _)| w > 0)
+            .map(|((dst, w), src)| (src, dst, w))
+            .chain(
+                self.spilled
+                    .into_iter()
+                    .map(|((src, dst), w)| (src, dst, w)),
+            )
+            .collect();
         other.sort_unstable();
         FetchEdgeProfile {
-            text_len: self.seq.len(),
+            text_len,
             seed: self.seed,
-            seq: self.seq,
+            seq,
             other,
             fetches: self.fetches,
             exit_code,
@@ -115,24 +143,44 @@ impl FetchEdgeRecorder {
 
 impl FetchSink for FetchEdgeRecorder {
     #[inline]
-    fn on_fetch(&mut self, pc: u32, _word: u32) {
-        let index = (pc.wrapping_sub(self.text_base)) / 4;
+    fn on_fetch(&mut self, pc: u32, word: u32) {
+        self.on_run(pc, &[word]);
+    }
+
+    #[inline]
+    fn on_run(&mut self, pc: u32, words: &[u32]) {
+        let Some(tail) = words.len().checked_sub(1) else {
+            return;
+        };
+        let start = pc.wrapping_sub(self.text_base) / 4;
+        let last = start as usize + tail;
         debug_assert!(
-            (index as usize) < self.seq.len(),
-            "fetch at {pc:#010x} outside the recorded text segment"
+            last < self.seq.len(),
+            "run at {pc:#010x} leaves the recorded text segment"
         );
-        match self.prev {
-            None => self.seed = Some(index),
-            Some(prev) => {
-                if index == prev + 1 {
-                    self.seq[prev as usize] += 1;
-                } else {
-                    *self.other.entry((prev, index)).or_insert(0) += 1;
-                }
+        // The run adds the sequential edges `from → … → last`.
+        let from = match self.prev {
+            None => {
+                self.seed = Some(start);
+                start
             }
-        }
-        self.prev = Some(index);
-        self.fetches += 1;
+            Some(prev) if start == prev + 1 => prev,
+            Some(prev) => {
+                let slot = &mut self.taken[prev as usize];
+                if slot.1 == 0 {
+                    *slot = (start, 1);
+                } else if slot.0 == start {
+                    slot.1 += 1;
+                } else {
+                    *self.spilled.entry((prev, start)).or_insert(0) += 1;
+                }
+                start
+            }
+        };
+        self.seq[from as usize] = self.seq[from as usize].wrapping_add(1);
+        self.seq[last] = self.seq[last].wrapping_sub(1);
+        self.prev = Some(last as u32);
+        self.fetches += words.len() as u64;
     }
 }
 
@@ -260,8 +308,10 @@ impl FetchEdgeProfile {
     /// # Errors
     ///
     /// [`EdgeProfileFormatError`] on any structural problem — wrong magic
-    /// or version, truncation, out-of-range indices. The profile cache
-    /// maps this to a miss.
+    /// or version, truncation, out-of-range indices — and on weights no
+    /// run can produce: a sequential edge out of the last instruction, or
+    /// edge weights that do not sum to `fetches − 1` (`fetches == 0`
+    /// without a seed). The profile cache maps this to a miss.
     pub fn from_bytes(bytes: &[u8]) -> Result<FetchEdgeProfile, EdgeProfileFormatError> {
         let mut r = Reader { bytes, pos: 0 };
         if r.take(8)? != MAGIC {
@@ -326,6 +376,26 @@ impl FetchEdgeProfile {
         if r.pos != bytes.len() {
             return Err(EdgeProfileFormatError {
                 detail: "trailing bytes",
+            });
+        }
+        // No fetch follows the last instruction sequentially, and every
+        // fetch but the seed is the destination of exactly one edge.
+        if seq.last().is_some_and(|&w| w > 0) {
+            return Err(EdgeProfileFormatError {
+                detail: "sequential edge out of the last instruction",
+            });
+        }
+        let weights = seq
+            .iter()
+            .chain(other.iter().map(|(_, _, w)| w))
+            .try_fold(0u64, |sum, &w| sum.checked_add(w));
+        let expected = match seed {
+            Some(_) => fetches.checked_sub(1),
+            None => (fetches == 0).then_some(0),
+        };
+        if weights.is_none() || weights != expected {
+            return Err(EdgeProfileFormatError {
+                detail: "edge weights do not sum to fetches - 1",
             });
         }
         Ok(FetchEdgeProfile {

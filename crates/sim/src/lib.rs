@@ -7,10 +7,11 @@
 //! for the [`imt-isa`](imt_isa) instruction set:
 //!
 //! * [`mem`] — a sparse paged byte-addressable memory;
-//! * [`cpu`] — the single-issue functional core: decoded-text execution,
-//!   SPIM-style syscalls, per-instruction profiling, and a fetch hook
-//!   ([`cpu::FetchSink`]) through which every fetched `(pc, word)` pair
-//!   streams in program order;
+//! * [`cpu`] — the single-issue functional core: decoded-text execution
+//!   one straight-line run at a time, SPIM-style syscalls,
+//!   per-instruction profiling, and a fetch hook ([`cpu::FetchSink`])
+//!   through which every fetched `(pc, word)` pair streams in program
+//!   order;
 //! * [`bus`] — transition monitors for the instruction data bus and the
 //!   address bus, plus the analytic energy model (`E = ½·C·V²` per
 //!   transition per line);
@@ -54,6 +55,20 @@
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! ## Run stepping
+//!
+//! [`Cpu::run_with_sink`] executes a straight-line run — up to and
+//! including the next control transfer, `syscall` or `break`, or the last
+//! text word — without per-instruction PC checks, then hands it to the
+//! sink in one [`FetchSink::on_run`] call: `words[i]` was fetched from
+//! `pc + 4*i`. A run that faults ends with the faulting fetch; a run cut
+//! by the step limit holds exactly the fetches the limit allowed. The
+//! default `on_run` feeds each fetch to [`FetchSink::on_fetch`] in order,
+//! so per-fetch sinks see the sequence [`Cpu::step`] would give them.
+//! [`edge::FetchEdgeRecorder`] overrides it to fold a run in O(1).
+//! `Cpu::step` stays the per-fetch reference; `tests/run_stepping.rs`
+//! proves the two equal on generated programs.
 
 // Library code must not panic on caller input: unwraps are reserved for
 // tests (see clippy.toml), and fallible paths return typed errors.

@@ -104,8 +104,9 @@ proptest! {
 
     /// Arbitrary bit-flips anywhere in the stream either fail with a
     /// typed error or decode to *some* structurally valid profile — they
-    /// never panic. (Payload flips can be semantically silent; structural
-    /// integrity is what the format layer owes its callers.)
+    /// never panic, and neither does reading the profile back. (Payload
+    /// flips can be semantically silent; structural integrity is what the
+    /// format layer owes its callers.)
     #[test]
     fn arbitrary_bit_flips_never_panic(
         text_len in 1usize..16,
@@ -119,9 +120,13 @@ proptest! {
             let pos = pos % bytes.len();
             bytes[pos] ^= 1 << bit;
         }
-        // Either outcome is fine; reaching this line without a panic is
-        // the property.
-        let _ = FetchEdgeProfile::from_bytes(&bytes);
+        // Either outcome is fine; reaching the end without a panic is the
+        // property.
+        if let Ok(profile) = FetchEdgeProfile::from_bytes(&bytes) {
+            let counts = profile.per_index_counts();
+            prop_assert_eq!(counts.len(), profile.text_len());
+            let _ = profile.edges().count();
+        }
     }
 
     /// Random byte soup never panics the parser.
@@ -179,5 +184,78 @@ fn out_of_range_seed_is_rejected() {
     assert_eq!(
         FetchEdgeProfile::from_bytes(&bytes).unwrap_err().detail,
         "seed index out of range"
+    );
+}
+
+/// Byte offset of the fetch count: after magic, version, text_len, seed.
+const FETCHES_AT: usize = 20;
+
+/// Byte offset of `seq[i]` in a profile with an empty stdout: magic,
+/// version, text_len, seed, fetches, exit code and stdout length first.
+fn seq_offset(i: usize) -> usize {
+    8 + 4 + 4 + 4 + 8 + 4 + 4 + 8 * i
+}
+
+fn set_u64(bytes: &mut [u8], at: usize, value: u64) {
+    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+}
+
+/// No fetch follows the last instruction sequentially. A weight there
+/// would make `per_index_counts` and replay index past the text, so it is
+/// rejected even when the fetch count is adjusted to match.
+#[test]
+fn sequential_edge_out_of_the_last_instruction_is_rejected() {
+    let profile = profile_from_walk(4, 0, &[1, 1, 1], "");
+    let mut bytes = profile.to_bytes();
+    set_u64(&mut bytes, seq_offset(3), 1);
+    set_u64(&mut bytes, FETCHES_AT, profile.fetches() + 1);
+    assert_eq!(
+        FetchEdgeProfile::from_bytes(&bytes).unwrap_err().detail,
+        "sequential edge out of the last instruction"
+    );
+}
+
+/// Every fetch but the seed is the destination of exactly one edge, so
+/// the weights sum to `fetches − 1`, or to zero with no seed and no
+/// fetches; a sum that overflows is rejected the same way.
+#[test]
+fn weights_that_do_not_account_for_every_fetch_are_rejected() {
+    const DETAIL: &str = "edge weights do not sum to fetches - 1";
+    let profile = profile_from_walk(4, 0, &[1, 1, 2], "");
+    let bytes = profile.to_bytes();
+
+    let mut extra_fetch = bytes.clone();
+    set_u64(&mut extra_fetch, FETCHES_AT, profile.fetches() + 1);
+    assert_eq!(
+        FetchEdgeProfile::from_bytes(&extra_fetch)
+            .unwrap_err()
+            .detail,
+        DETAIL
+    );
+
+    let mut heavier_edge = bytes.clone();
+    set_u64(&mut heavier_edge, seq_offset(0), 2);
+    assert_eq!(
+        FetchEdgeProfile::from_bytes(&heavier_edge)
+            .unwrap_err()
+            .detail,
+        DETAIL
+    );
+
+    let mut overflow = bytes;
+    set_u64(&mut overflow, seq_offset(0), u64::MAX);
+    set_u64(&mut overflow, FETCHES_AT, u64::MAX);
+    assert_eq!(
+        FetchEdgeProfile::from_bytes(&overflow).unwrap_err().detail,
+        DETAIL
+    );
+
+    let mut unseeded = FetchEdgeRecorder::new(TEXT_BASE, 4)
+        .finish(0, String::new())
+        .to_bytes();
+    set_u64(&mut unseeded, FETCHES_AT, 1);
+    assert_eq!(
+        FetchEdgeProfile::from_bytes(&unseeded).unwrap_err().detail,
+        DETAIL
     );
 }
