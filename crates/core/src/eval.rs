@@ -8,6 +8,14 @@
 //! instruction stream. A schedule that decodes incorrectly can therefore
 //! never report savings.
 //!
+//! The core hands the evaluation sink one straight-line run at a time. The
+//! sink slices the stored image once per run; both monitors count the run
+//! in one pass ([`DataBusMonitor::observe_run`]) and the decoder restores
+//! it segment by segment ([`FetchDecoder::restore_run`]), so every fetch is
+//! still restored and compared. The per-fetch pieces
+//! ([`DataBusMonitor::observe`], [`FetchDecoder::on_fetch`]) stay as the
+//! reference that `tests/run_stepped_eval.rs` pins the run path to.
+//!
 //! Two evaluation paths produce bit-identical [`Evaluation`]s:
 //!
 //! * [`evaluate`] — full simulation, O(dynamic fetches);
@@ -61,15 +69,64 @@ pub struct Evaluation {
 
 impl Evaluation {
     /// Percentage of bus transitions eliminated (the paper's
-    /// `Reduction(%)` rows in Figure 6).
+    /// `Reduction(%)` rows in Figure 6); negative when the encoding adds
+    /// transitions.
     pub fn reduction_percent(&self) -> f64 {
         if self.baseline_transitions == 0 {
             return 0.0;
         }
-        (self.baseline_transitions - self.encoded_transitions) as f64
+        (self.baseline_transitions as f64 - self.encoded_transitions as f64)
             / self.baseline_transitions as f64
             * 100.0
     }
+}
+
+/// The decode check of full simulation and of replay's span walks: counts
+/// restored words that differ from the original and keeps the first as
+/// the error.
+#[derive(Debug, Default)]
+pub(crate) struct DecodeCheck {
+    pub(crate) mismatches: u64,
+    first: Option<(u32, u32, u32)>,
+}
+
+impl DecodeCheck {
+    /// Checks a run: `decoded[i]` against `expected[i]`, fetched from
+    /// `pc + 4*i`.
+    #[inline]
+    pub(crate) fn run(&mut self, pc: u32, decoded: &[u32], expected: &[u32]) {
+        if decoded == expected {
+            return;
+        }
+        for (i, (&decoded, &expected)) in decoded.iter().zip(expected).enumerate() {
+            if decoded != expected {
+                self.mismatches += 1;
+                let pc = pc.wrapping_add(4 * i as u32);
+                self.first.get_or_insert((pc, decoded, expected));
+            }
+        }
+    }
+
+    /// [`CoreError::DecodeMismatch`] for the first failed fetch, if any.
+    pub(crate) fn result(&self) -> Result<(), CoreError> {
+        match self.first {
+            Some((pc, decoded, expected)) => Err(CoreError::DecodeMismatch {
+                pc,
+                decoded,
+                expected,
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
+/// `buffer`'s first `len` words, growing it if needed: per-run scratch
+/// space that full-simulation sinks reuse across runs.
+pub(crate) fn run_buffer(buffer: &mut Vec<u32>, len: usize) -> &mut [u32] {
+    if buffer.len() < len {
+        buffer.resize(len, 0);
+    }
+    &mut buffer[..len]
 }
 
 struct EvalSink<'a> {
@@ -78,22 +135,27 @@ struct EvalSink<'a> {
     baseline: DataBusMonitor,
     encoded: DataBusMonitor,
     decoder: FetchDecoder,
-    mismatches: u64,
-    first_mismatch: Option<(u32, u32, u32)>,
+    check: DecodeCheck,
+    /// The current run's restored words.
+    restored: Vec<u32>,
 }
 
 impl FetchSink for EvalSink<'_> {
-    #[inline]
     fn on_fetch(&mut self, pc: u32, word: u32) {
-        self.baseline.observe(word as u64);
-        let index = ((pc - self.text_base) / 4) as usize;
-        let stored = self.encoded_text[index];
-        self.encoded.observe(stored as u64);
-        let decoded = self.decoder.on_fetch(pc, stored);
-        if decoded != word {
-            self.mismatches += 1;
-            self.first_mismatch.get_or_insert((pc, decoded, word));
-        }
+        self.on_run(pc, std::slice::from_ref(&word));
+    }
+
+    /// Slices the stored image once per run and hands it to the run-level
+    /// bus counters and decoder; every fetch is still restored and checked.
+    #[inline]
+    fn on_run(&mut self, pc: u32, words: &[u32]) {
+        self.baseline.observe_run(words);
+        let first = ((pc - self.text_base) / 4) as usize;
+        let stored = &self.encoded_text[first..first + words.len()];
+        self.encoded.observe_run(stored);
+        let restored = run_buffer(&mut self.restored, words.len());
+        self.decoder.restore_run(pc, stored, restored);
+        self.check.run(pc, restored, words);
     }
 }
 
@@ -124,24 +186,18 @@ pub fn evaluate(
             encoded.config.block_size(),
             encoded.config.overlap(),
         ),
-        mismatches: 0,
-        first_mismatch: None,
+        check: DecodeCheck::default(),
+        restored: Vec::new(),
     };
     let summary = cpu.run_with_sink(max_steps, &mut sink)?;
-    if let Some((pc, decoded, expected)) = sink.first_mismatch {
-        return Err(CoreError::DecodeMismatch {
-            pc,
-            decoded,
-            expected,
-        });
-    }
+    sink.check.result()?;
     let evaluation = Evaluation {
         fetches: summary.instructions,
         baseline_transitions: sink.baseline.total_transitions(),
         encoded_transitions: sink.encoded.total_transitions(),
         per_lane_baseline: sink.baseline.per_lane(),
         per_lane_encoded: sink.encoded.per_lane(),
-        decode_mismatches: sink.mismatches,
+        decode_mismatches: sink.check.mismatches,
         decoded_fetches: sink.decoder.decoded_fetches(),
         passthrough_fetches: sink.decoder.passthrough_fetches(),
         exit_code: summary.exit_code,
@@ -204,23 +260,18 @@ pub fn evaluate_replay(
     );
     let mut in_span = vec![false; text_len];
     let mut span_start = vec![false; text_len];
+    let mut restored = vec![0; text_len];
+    let mut check = DecodeCheck::default();
     for (start_pc, end_pc) in decoder.scheduled_spans() {
         let start = pc_to_index(start_pc, encoded.text_base, text_len)?;
         let end = pc_to_index(end_pc.wrapping_sub(4), encoded.text_base, text_len)? + 1;
         span_start[start] = true;
+        in_span[start..end].fill(true);
         decoder.reset();
-        for (index, inside) in in_span.iter_mut().enumerate().take(end).skip(start) {
-            *inside = true;
-            let pc = encoded.text_base + 4 * index as u32;
-            let decoded = decoder.on_fetch(pc, encoded.text[index]);
-            if decoded != program.text[index] {
-                return Err(CoreError::DecodeMismatch {
-                    pc,
-                    decoded,
-                    expected: program.text[index],
-                });
-            }
-        }
+        let restored = &mut restored[start..end];
+        decoder.restore_run(start_pc, &encoded.text[start..end], restored);
+        check.run(start_pc, restored, &program.text[start..end]);
+        check.result()?;
     }
     // Outside every scheduled block the image must be the original words
     // (they pass through the decoder untouched).

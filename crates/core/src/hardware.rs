@@ -397,6 +397,55 @@ struct ActiveRun {
     prev_decoded: u32,
 }
 
+impl ActiveRun {
+    /// Restores one fetch through `view`, the run's current entry: a basic
+    /// block's seed passes its lanes through; every other fetch goes
+    /// through the entry's gates against the history its place selects.
+    #[inline]
+    fn restore(&self, view: &TtView, stored: u32, lane_mask: u32, overlap: OverlapHistory) -> u32 {
+        if self.block_index == 0 && self.fetch_in_block == 0 {
+            // Seed of the basic block's first (initial) block.
+            return stored & lane_mask;
+        }
+        let history = if self.fetch_in_block == 0 && overlap == OverlapHistory::Stored {
+            // First fetch of a chained block: the overlap bits.
+            self.prev_stored
+        } else {
+            self.prev_decoded
+        };
+        view.masks.restore(stored, history)
+    }
+
+    /// The walker after `fetches` more fetches through `entry`, the last
+    /// from `pc` with `stored` restored to `decoded`: the `E`/`CT` fetch
+    /// counter moves to the next entry, or ends the schedule (`None`)
+    /// after the basic block's last one.
+    #[inline]
+    fn advance(
+        mut self,
+        fetches: usize,
+        pc: u32,
+        stored: u32,
+        decoded: u32,
+        entry: &TtEntry,
+    ) -> Option<ActiveRun> {
+        self.prev_stored = stored;
+        self.prev_decoded = decoded;
+        self.fetch_in_block += fetches;
+        self.expected_pc = pc.wrapping_add(4);
+        if self.fetch_in_block < entry.covers {
+            Some(self)
+        } else if entry.end {
+            None
+        } else {
+            self.tt_index += 1;
+            self.block_index += 1;
+            self.fetch_in_block = 0;
+            Some(self)
+        }
+    }
+}
+
 impl FetchDecoder {
     /// Creates an unprotected decoder over the given tables.
     ///
@@ -561,18 +610,93 @@ impl FetchDecoder {
     pub fn on_fetch_classified(&mut self, pc: u32, stored: u32) -> (u32, FetchKind) {
         let (lane_mask, overlap) = (self.lane_mask, self.overlap);
         self.walk(pc, stored, |view, run| {
-            if run.block_index == 0 && run.fetch_in_block == 0 {
-                // Seed of the basic block's first (initial) block.
-                return stored & lane_mask;
-            }
-            let history = if run.fetch_in_block == 0 && overlap == OverlapHistory::Stored {
-                // First fetch of a chained block: the overlap bits.
-                run.prev_stored
-            } else {
-                run.prev_decoded
-            };
-            view.masks.restore(stored, history)
+            run.restore(view, stored, lane_mask, overlap)
         })
+    }
+
+    /// Restores the straight-line run of fetches `pc, pc + 4, …`: on
+    /// return `restored[i]` is what [`FetchDecoder::on_fetch`] would
+    /// return for `stored[i]`, and the counters, events, degraded ranges
+    /// and walker state are those the per-fetch calls would leave.
+    ///
+    /// The walker's per-fetch work moves to coarser grain: the tables are
+    /// scrubbed (if dirty) once per run, and the BBIT is scanned once per
+    /// segment — a segment ends at a TT entry boundary or at the next
+    /// BBIT tag inside the run — while every fetch is still restored
+    /// through its entry's lane masks. Once any block is degraded, the
+    /// rest of the run goes through the per-fetch walker.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stored` and `restored` differ in length.
+    pub fn restore_run(&mut self, pc: u32, stored: &[u32], restored: &mut [u32]) {
+        assert_eq!(
+            stored.len(),
+            restored.len(),
+            "run and output differ in length"
+        );
+        if stored.is_empty() {
+            return;
+        }
+        if self.tables.is_dirty() {
+            self.absorb_scrub();
+        }
+        let len = stored.len();
+        let at = |i: usize| pc.wrapping_add(4 * i as u32);
+        let mut hit = self.tables.bbit_next_hit(pc, len);
+        let mut i = 0;
+        while i < len {
+            if !self.degraded.is_empty() {
+                for j in i..len {
+                    restored[j] = self.on_fetch_classified(at(j), stored[j]).0;
+                }
+                return;
+            }
+            let mut next_hit = hit.map_or(len, |(offset, _, _)| offset);
+            if next_hit == i {
+                let (_, bbit_index, tt_index) = hit.expect("a hit at this fetch");
+                self.state = Some(ActiveRun {
+                    tt_index,
+                    bbit_index,
+                    block_index: 0,
+                    fetch_in_block: 0,
+                    expected_pc: at(i),
+                    prev_stored: 0,
+                    prev_decoded: 0,
+                });
+                hit = self
+                    .tables
+                    .bbit_next_hit(at(i + 1), len - i - 1)
+                    .map(|(offset, entry, tt)| (i + 1 + offset, entry, tt));
+                next_hit = hit.map_or(len, |(offset, _, _)| offset);
+            }
+            let Some(run) = self.state.filter(|run| run.expected_pc == at(i)) else {
+                // No schedule, or control arrived from elsewhere: words
+                // pass through up to the next BBIT tag.
+                restored[i..next_hit].copy_from_slice(&stored[i..next_hit]);
+                self.passthrough_fetches += (next_hit - i) as u64;
+                self.state = None;
+                i = next_hit;
+                continue;
+            };
+            let Some(view) = self.tables.tt_view(run.tt_index) else {
+                restored[i] = self.degrade_run(run, stored[i]).0;
+                i += 1;
+                continue;
+            };
+            // The segment: the rest of this entry, up to the next BBIT tag.
+            let left_in_entry = view.entry.covers.saturating_sub(run.fetch_in_block).max(1);
+            let end = (i + left_in_entry).min(next_hit);
+            let mut history = run.restore(view, stored[i], self.lane_mask, self.overlap);
+            restored[i] = history;
+            for (out, &word) in restored[i + 1..end].iter_mut().zip(&stored[i + 1..end]) {
+                history = view.masks.restore(word, history);
+                *out = history;
+            }
+            self.state = run.advance(end - i, at(end - 1), stored[end - 1], history, &view.entry);
+            self.decoded_fetches += (end - i) as u64;
+            i = end;
+        }
     }
 
     /// The Figure 5 walker around one fetch: scrub on a dirty table,
@@ -608,7 +732,7 @@ impl FetchDecoder {
                 prev_decoded: 0,
             });
         }
-        let Some(mut run) = self.state else {
+        let Some(run) = self.state else {
             self.passthrough_fetches += 1;
             return (stored, FetchKind::Passthrough);
         };
@@ -629,26 +753,7 @@ impl FetchDecoder {
             return self.degrade_run(run, stored);
         };
         let decoded = restore(view, &run);
-        let covers = view.entry.covers;
-        let end = view.entry.end;
-
-        // Advance the walker.
-        run.prev_stored = stored;
-        run.prev_decoded = decoded;
-        run.fetch_in_block += 1;
-        run.expected_pc = pc.wrapping_add(4);
-        if run.fetch_in_block >= covers {
-            if end {
-                self.state = None;
-            } else {
-                run.tt_index += 1;
-                run.block_index += 1;
-                run.fetch_in_block = 0;
-                self.state = Some(run);
-            }
-        } else {
-            self.state = Some(run);
-        }
+        self.state = run.advance(1, pc, stored, decoded, &view.entry);
         self.decoded_fetches += 1;
         (decoded, FetchKind::Decoded)
     }
@@ -947,6 +1052,112 @@ mod tests {
             prop_assert_eq!(fast.degraded_fetches(), reference.degraded_fetches());
             prop_assert_eq!(fast.take_events(), reference.take_events());
             prop_assert_eq!(fast.degraded_ranges(), reference.degraded_ranges());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `restore_run` against per-fetch `on_fetch_classified` on random
+        /// schedules and arbitrary stored words: runs of random length
+        /// (empty ones too) that start at, before or inside a block, cross
+        /// BBIT tags mid-run or continue the previous run, with TT/BBIT
+        /// upsets between runs and, in some schedules, a TT index that
+        /// dangles — a BBIT entry past the table, or a last entry whose
+        /// `E` bit is clear — met mid-run.
+        #[test]
+        fn run_restore_matches_the_per_fetch_walker(
+            lanes in 1usize..=32,
+            k in 2usize..=8,
+            decoded_overlap in any::<bool>(),
+            protection in 0usize..3,
+            dangling in 0u32..3,
+            seed in any::<u64>(),
+        ) {
+            let overlap = if decoded_overlap {
+                OverlapHistory::Decoded
+            } else {
+                OverlapHistory::Stored
+            };
+            let set = TransformSet::CANONICAL_EIGHT;
+            let protection = Protection::ALL[protection];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut tt, mut bbit) = random_schedule(&mut rng, lanes, k, set);
+            match dangling {
+                1 => bbit.push(BbitEntry {
+                    pc: 0x0040_0000 + 0x100 * bbit.len() as u32,
+                    tt_index: tt.len() + rng.gen_range(0usize..4),
+                }),
+                2 => {
+                    let mut entries = tt.entries().to_vec();
+                    entries.last_mut().expect("a schedule has entries").end = false;
+                    tt = TransformationTable { entries };
+                }
+                _ => {}
+            }
+            let build = || {
+                FetchDecoder::with_protection(&tt, &bbit, lanes, k, overlap, set, protection)
+                    .unwrap()
+            };
+            let (mut by_run, mut by_fetch) = (build(), build());
+            let tt_bits = by_run.tables().tt_stored_bits();
+            let bbit_bits = by_run.tables().bbit_stored_bits();
+            let blocks = bbit.len() as u32;
+            let mut pc = 0x0040_0000u32;
+            let mut restored = Vec::new();
+            for step in 0..rng.gen_range(0usize..60) {
+                match rng.gen_range(0u32..100) {
+                    0..=5 => {
+                        let (entry, bit) = (rng.gen_range(0..tt.len()), rng.gen_range(0..tt_bits));
+                        prop_assert_eq!(
+                            by_run.inject_tt_bit(entry, bit).is_ok(),
+                            by_fetch.inject_tt_bit(entry, bit).is_ok()
+                        );
+                        continue;
+                    }
+                    6..=8 => {
+                        let (entry, bit) = (rng.gen_range(0..bbit.len()), rng.gen_range(0..bbit_bits));
+                        prop_assert_eq!(
+                            by_run.inject_bbit_bit(entry, bit).is_ok(),
+                            by_fetch.inject_bbit_bit(entry, bit).is_ok()
+                        );
+                        continue;
+                    }
+                    // A block's start, or a few words before it, so that its
+                    // BBIT tag lands mid-run ...
+                    9..=39 => {
+                        let before = 4 * rng.gen_range(0..6u32);
+                        pc = (0x0040_0000 + 0x100 * rng.gen_range(0..blocks)).wrapping_sub(before);
+                    }
+                    // ... or anywhere in and around the scheduled region,
+                    // entering a block mid-way.
+                    40..=54 => pc = 0x0040_0000 + 4 * rng.gen_range(0..64 * blocks + 16),
+                    // Otherwise the run continues where the last one ended.
+                    _ => {}
+                }
+                let len = rng.gen_range(0usize..=80);
+                let stored: Vec<u32> = (0..len).map(|_| rng.gen()).collect();
+                restored.resize(len, 0);
+                by_run.restore_run(pc, &stored, &mut restored);
+                for (i, (&word, &restored)) in stored.iter().zip(&restored).enumerate() {
+                    let at = pc.wrapping_add(4 * i as u32);
+                    let (expected, _) = by_fetch.on_fetch_classified(at, word);
+                    prop_assert_eq!(restored, expected, "step {} fetch {:#x}", step, at);
+                }
+                prop_assert_eq!(by_run.decoded_fetches(), by_fetch.decoded_fetches());
+                prop_assert_eq!(by_run.passthrough_fetches(), by_fetch.passthrough_fetches());
+                prop_assert_eq!(by_run.degraded_fetches(), by_fetch.degraded_fetches());
+                prop_assert_eq!(by_run.take_events(), by_fetch.take_events());
+                prop_assert_eq!(by_run.degraded_ranges(), by_fetch.degraded_ranges());
+                pc = pc.wrapping_add(4 * len as u32);
+            }
+            // The walker state the runs left behind decodes the next fetch
+            // the same way.
+            let word = rng.gen::<u32>();
+            prop_assert_eq!(
+                by_run.on_fetch_classified(pc, word),
+                by_fetch.on_fetch_classified(pc, word)
+            );
         }
     }
 

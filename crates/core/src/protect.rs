@@ -667,6 +667,23 @@ impl ProtectedTables {
                 _ => None,
             })
     }
+
+    /// The first of the `len` sequential fetches `pc, pc + 4, …` that a
+    /// live BBIT entry tags, as `(fetch offset, entry index, TT index)`:
+    /// what [`ProtectedTables::bbit_lookup`] returns at that fetch, found
+    /// in one scan of the table.
+    pub(crate) fn bbit_next_hit(&self, pc: u32, len: usize) -> Option<(usize, usize, usize)> {
+        let mut hit: Option<(usize, usize, usize)> = None;
+        for (index, entry) in self.bbit_view.iter().enumerate() {
+            let Some(entry) = entry else { continue };
+            let offset = entry.pc.wrapping_sub(pc);
+            let at = (offset / 4) as usize;
+            if offset % 4 == 0 && at < len && hit.is_none_or(|(first, _, _)| at < first) {
+                hit = Some((at, index, entry.tt_index));
+            }
+        }
+        hit
+    }
 }
 
 #[cfg(test)]

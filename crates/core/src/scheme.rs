@@ -59,8 +59,8 @@ use imt_sim::edge::FetchEdgeProfile;
 
 use crate::error::CoreError;
 use crate::eval::{
-    evaluate, evaluate_replay, pc_to_index, weighted_transitions, EvalNeeds, EvalPath, Evaluation,
-    FullSimReason,
+    evaluate, evaluate_replay, pc_to_index, run_buffer, weighted_transitions, DecodeCheck,
+    EvalNeeds, EvalPath, Evaluation, FullSimReason,
 };
 use crate::hardware::FetchDecoder;
 use crate::pipeline::{encode_program, EncodedProgram, BUS_WIDTH};
@@ -240,6 +240,32 @@ pub trait Encoder {
         }
     }
 
+    /// Full-simulation hook for a straight-line run of fetches from `pc`,
+    /// `pc + 4`, …: writes each fetch's [`SimFetch::restored`] and
+    /// [`SimFetch::driven`] word and returns the run's extra-line
+    /// transitions. Must equal [`Encoder::sim_fetch`] on each fetch in
+    /// order, which the default does; all three slices have one word per
+    /// fetch. Full simulation makes one dynamic call per run here; the
+    /// default's loop is compiled per scheme and calls `sim_fetch`
+    /// statically.
+    fn sim_run(
+        &mut self,
+        pc: u32,
+        stored: &[u32],
+        restored: &mut [u32],
+        driven: &mut [u32],
+    ) -> u64 {
+        let mut extra = 0;
+        for (i, ((&stored, restored), driven)) in
+            stored.iter().zip(restored).zip(driven).enumerate()
+        {
+            let step = self.sim_fetch(pc.wrapping_add(4 * i as u32), stored);
+            (*restored, *driven) = (step.restored, step.driven);
+            extra += step.extra_transitions;
+        }
+        extra
+    }
+
     /// Returns the bus model to power-on state.
     fn reset(&mut self);
 
@@ -364,22 +390,17 @@ fn verify_tt_image(program: &Program, encoded: &EncodedProgram) -> Result<(), Co
         encoded.config.overlap(),
     );
     let mut in_span = vec![false; text_len];
+    let mut restored = vec![0; text_len];
+    let mut check = DecodeCheck::default();
     for (start_pc, end_pc) in decoder.scheduled_spans() {
         let start = pc_to_index(start_pc, encoded.text_base, text_len)?;
         let end = pc_to_index(end_pc.wrapping_sub(4), encoded.text_base, text_len)? + 1;
+        in_span[start..end].fill(true);
         decoder.reset();
-        for (index, inside) in in_span.iter_mut().enumerate().take(end).skip(start) {
-            *inside = true;
-            let pc = encoded.text_base + 4 * index as u32;
-            let decoded = decoder.on_fetch(pc, encoded.text[index]);
-            if decoded != program.text[index] {
-                return Err(CoreError::DecodeMismatch {
-                    pc,
-                    decoded,
-                    expected: program.text[index],
-                });
-            }
-        }
+        let restored = &mut restored[start..end];
+        decoder.restore_run(start_pc, &encoded.text[start..end], restored);
+        check.run(start_pc, restored, &program.text[start..end]);
+        check.result()?;
     }
     for (index, _) in in_span.iter().enumerate().filter(|&(_, &inside)| !inside) {
         if encoded.text[index] != program.text[index] {
@@ -546,6 +567,9 @@ impl Encoder for BusInvertScheme {
         &self.text
     }
 
+    // Inlined into the default `sim_run`, which full simulation calls
+    // once per run: that loop is then one drive loop.
+    #[inline]
     fn sim_fetch(&mut self, _pc: u32, stored: u32) -> SimFetch {
         let step = self.state.drive(stored);
         SimFetch {
@@ -708,26 +732,31 @@ struct SchemeSink<'a> {
     driven: DataBusMonitor,
     extra: u64,
     decoded_fetches: u64,
-    mismatches: u64,
-    first_mismatch: Option<(u32, u32, u32)>,
+    check: DecodeCheck,
+    /// The current run's restored and driven words.
+    restored: Vec<u32>,
+    driven_words: Vec<u32>,
 }
 
 impl FetchSink for SchemeSink<'_> {
-    #[inline]
     fn on_fetch(&mut self, pc: u32, word: u32) {
-        self.baseline.observe(u64::from(word));
-        let index = ((pc - self.text_base) / 4) as usize;
-        let stored = self.stored[index];
-        let step = self.scheme.sim_fetch(pc, stored);
-        self.driven.observe(u64::from(step.driven));
-        self.extra += step.extra_transitions;
-        if stored != word {
-            self.decoded_fetches += 1;
-        }
-        if step.restored != word {
-            self.mismatches += 1;
-            self.first_mismatch.get_or_insert((pc, step.restored, word));
-        }
+        self.on_run(pc, std::slice::from_ref(&word));
+    }
+
+    /// Slices the stored image once per run and hands it to the scheme's
+    /// run-level bus model and the run-level bus counters; every fetch is
+    /// still restored and checked.
+    #[inline]
+    fn on_run(&mut self, pc: u32, words: &[u32]) {
+        self.baseline.observe_run(words);
+        let first = ((pc - self.text_base) / 4) as usize;
+        let stored = &self.stored[first..first + words.len()];
+        let restored = run_buffer(&mut self.restored, words.len());
+        let driven = run_buffer(&mut self.driven_words, words.len());
+        self.extra += self.scheme.sim_run(pc, stored, restored, driven);
+        self.driven.observe_run(driven);
+        self.decoded_fetches += stored.iter().zip(words).filter(|(s, w)| s != w).count() as u64;
+        self.check.run(pc, restored, words);
     }
 }
 
@@ -744,9 +773,8 @@ pub fn evaluate_scheme_full(
     max_steps: u64,
 ) -> Result<SchemeEvaluation, CoreError> {
     if let Some(encoded) = scheme.as_tt() {
-        let encoded = encoded.clone();
         return Ok(SchemeEvaluation::from_evaluation(&evaluate(
-            program, &encoded, max_steps,
+            program, encoded, max_steps,
         )?));
     }
     scheme.reset();
@@ -760,17 +788,12 @@ pub fn evaluate_scheme_full(
         driven: DataBusMonitor::new(BUS_WIDTH),
         extra: 0,
         decoded_fetches: 0,
-        mismatches: 0,
-        first_mismatch: None,
+        check: DecodeCheck::default(),
+        restored: Vec::new(),
+        driven_words: Vec::new(),
     };
     let summary = cpu.run_with_sink(max_steps, &mut sink)?;
-    if let Some((pc, decoded, expected)) = sink.first_mismatch {
-        return Err(CoreError::DecodeMismatch {
-            pc,
-            decoded,
-            expected,
-        });
-    }
+    sink.check.result()?;
     Ok(SchemeEvaluation {
         fetches: summary.instructions,
         baseline_transitions: sink.baseline.total_transitions(),
@@ -779,7 +802,7 @@ pub fn evaluate_scheme_full(
         per_lane_encoded: sink.driven.per_lane(),
         extra_line_transitions: sink.extra,
         decoded_fetches: sink.decoded_fetches,
-        decode_mismatches: sink.mismatches,
+        decode_mismatches: sink.check.mismatches,
         exit_code: summary.exit_code,
         stdout: cpu.stdout().to_string(),
     })
@@ -1392,10 +1415,11 @@ pub fn verify_composite_decode(
         let start = pc_to_index(start_pc, encoded.text_base, text_len)?;
         let end = pc_to_index(end_pc.wrapping_sub(4), encoded.text_base, text_len)? + 1;
         decoder.reset();
-        for (index, slot) in tt_decoded.iter_mut().enumerate().take(end).skip(start) {
-            let pc = encoded.text_base + 4 * index as u32;
-            *slot = decoder.on_fetch(pc, composite[index]);
-        }
+        decoder.restore_run(
+            start_pc,
+            &composite[start..end],
+            &mut tt_decoded[start..end],
+        );
     }
     for index in 0..text_len {
         let stored = composite[index];

@@ -12,19 +12,25 @@ use crate::cpu::FetchSink;
 /// `j, j + 8, …, j + 56`, one per byte of a SWAR counter word.
 const BYTE_LOW_BITS: u64 = 0x0101_0101_0101_0101;
 
-/// Words a byte-wide counter absorbs before it could overflow.
+/// SWAR steps the byte-wide counters absorb before one could overflow:
+/// a step adds at most one to each byte.
 const FLUSH_EVERY: u32 = u8::MAX as u32;
 
 /// Counts 0↔1 transitions per line on the instruction **data** bus.
 ///
-/// Feed it fetched words in program order — either directly through
-/// [`DataBusMonitor::observe`], or as a [`FetchSink`] hanging off the CPU.
+/// Feed it fetched words in program order — one at a time through
+/// [`DataBusMonitor::observe`], a run at a time through
+/// [`DataBusMonitor::observe_run`], or as a [`FetchSink`] hanging off the
+/// CPU, which hands it whole runs.
 ///
 /// Per-line counts are kept branch-free: eight SWAR words of byte-wide
 /// counters absorb each transition word with a shift, a mask and an add
-/// apiece, and are flushed into 64-bit totals every 255 words, before a
-/// byte can overflow. [`DataBusMonitor::per_lane`] adds the pending bytes
-/// back, so it is exact at any moment.
+/// apiece, and are flushed into 64-bit totals every 255 steps, before a
+/// byte can overflow. On a bus of at most 32 lines a transition word
+/// fills only the low four bytes, so `observe_run` packs two consecutive
+/// transition words into each step, the second in the high four bytes.
+/// [`DataBusMonitor::per_lane`] adds the pending bytes back, so it is
+/// exact at any moment.
 ///
 /// ```
 /// use imt_sim::bus::DataBusMonitor;
@@ -45,10 +51,12 @@ pub struct DataBusMonitor {
     last: Option<u64>,
     /// Per-line counts flushed out of `pending`.
     flushed: Vec<u64>,
-    /// Byte `b` of `pending[j]` counts line `8b + j` since the last flush.
+    /// Byte `b` of `pending[j]` counts line `8b + j` since the last flush;
+    /// on a bus of at most 32 lines, byte `b + 4` counts line `8b + j` too
+    /// (the second word of each packed pair).
     pending: [u64; 8],
-    /// Transition words absorbed by `pending` since the last flush.
-    pending_words: u32,
+    /// SWAR steps absorbed by `pending` since the last flush.
+    pending_steps: u32,
     total: u64,
     words: u64,
 }
@@ -75,7 +83,7 @@ impl DataBusMonitor {
             last: None,
             flushed: vec![0; width],
             pending: [0; 8],
-            pending_words: 0,
+            pending_steps: 0,
             total: 0,
             words: 0,
         }
@@ -86,27 +94,77 @@ impl DataBusMonitor {
     pub fn observe(&mut self, word: u64) {
         let word = word & self.mask;
         if let Some(last) = self.last {
-            let diff = last ^ word;
-            self.total += u64::from(diff.count_ones());
-            for (j, counter) in self.pending.iter_mut().enumerate() {
-                *counter += diff >> j & BYTE_LOW_BITS;
-            }
-            self.pending_words += 1;
-            if self.pending_words == FLUSH_EVERY {
-                self.flush();
-            }
+            self.absorb(last ^ word);
         }
         self.last = Some(word);
         self.words += 1;
     }
 
+    /// Observes a run of consecutive words in one pass over the slice: the
+    /// same counts as [`DataBusMonitor::observe`] on each word in order.
+    /// On a bus of at most 32 lines each SWAR step absorbs two transition
+    /// words, one per half of the counters; a wider bus takes them one at
+    /// a time.
+    pub fn observe_run(&mut self, words: &[u32]) {
+        if self.width > 32 {
+            for &word in words {
+                self.observe(u64::from(word));
+            }
+            return;
+        }
+        let mask = self.mask as u32;
+        let (mut prev, rest) = match (self.last, words) {
+            (_, []) => return,
+            (Some(last), _) => (last as u32, words),
+            (None, [first, rest @ ..]) => (first & mask, rest),
+        };
+        self.words += words.len() as u64;
+        let mut pairs = rest.chunks_exact(2);
+        let odd = pairs.remainder();
+        while pairs.len() > 0 {
+            // Whole steps up to the next flush, with the counters in locals.
+            let steps = pairs.len().min((FLUSH_EVERY - self.pending_steps) as usize);
+            let (mut pending, mut total) = (self.pending, 0u64);
+            for pair in pairs.by_ref().take(steps) {
+                let (a, b) = (pair[0] & mask, pair[1] & mask);
+                let diff = u64::from(prev ^ a) | u64::from(a ^ b) << 32;
+                total += u64::from(diff.count_ones());
+                add_diff(&mut pending, diff);
+                prev = b;
+            }
+            (self.pending, self.total) = (pending, self.total + total);
+            self.pending_steps += steps as u32;
+            if self.pending_steps == FLUSH_EVERY {
+                self.flush();
+            }
+        }
+        if let [word] = odd {
+            let word = word & mask;
+            self.absorb(u64::from(prev ^ word));
+            prev = word;
+        }
+        self.last = Some(u64::from(prev));
+    }
+
+    /// Counts one transition word in one SWAR step.
+    #[inline]
+    fn absorb(&mut self, diff: u64) {
+        self.total += u64::from(diff.count_ones());
+        add_diff(&mut self.pending, diff);
+        self.pending_steps += 1;
+        if self.pending_steps == FLUSH_EVERY {
+            self.flush();
+        }
+    }
+
     /// Moves the pending byte counts into the 64-bit totals.
     fn flush(&mut self) {
+        let (pending, width) = (&self.pending, self.width);
         for (lane, count) in self.flushed.iter_mut().enumerate() {
-            *count += pending_count(&self.pending, lane);
+            *count += pending_count(pending, width, lane);
         }
         self.pending = [0; 8];
-        self.pending_words = 0;
+        self.pending_steps = 0;
     }
 
     /// Number of bus lines.
@@ -125,7 +183,7 @@ impl DataBusMonitor {
         self.flushed
             .iter()
             .enumerate()
-            .map(|(lane, &count)| count + pending_count(&self.pending, lane))
+            .map(|(lane, &count)| count + pending_count(&self.pending, self.width, lane))
             .collect()
     }
 
@@ -145,7 +203,7 @@ impl DataBusMonitor {
         self.words = 0;
         self.flushed.iter_mut().for_each(|c| *c = 0);
         self.pending = [0; 8];
-        self.pending_words = 0;
+        self.pending_steps = 0;
     }
 
     /// Publishes the monitor's totals into the `imt-obs` registry under
@@ -159,9 +217,25 @@ impl DataBusMonitor {
     }
 }
 
-/// Line `lane`'s byte in the SWAR counters (see [`DataBusMonitor`]).
-fn pending_count(pending: &[u64; 8], lane: usize) -> u64 {
-    pending[lane % 8] >> (8 * (lane / 8)) & 0xFF
+/// Adds one transition word to the SWAR counters, line `8b + j` to byte
+/// `b` of `pending[j]`.
+#[inline]
+fn add_diff(pending: &mut [u64; 8], diff: u64) {
+    for (j, counter) in pending.iter_mut().enumerate() {
+        *counter += diff >> j & BYTE_LOW_BITS;
+    }
+}
+
+/// Line `lane`'s pending count on a bus of `width` lines: its byte in the
+/// SWAR counters, plus its high-half byte when pairs are packed (see
+/// [`DataBusMonitor`]).
+fn pending_count(pending: &[u64; 8], width: usize, lane: usize) -> u64 {
+    let word = pending[lane % 8] >> (8 * (lane / 8));
+    if width <= 32 {
+        (word & 0xFF) + (word >> 32 & 0xFF)
+    } else {
+        word & 0xFF
+    }
 }
 
 /// Two monitors are equal when they saw the same bus: same width, same
@@ -183,6 +257,11 @@ impl FetchSink for DataBusMonitor {
     #[inline]
     fn on_fetch(&mut self, _pc: u32, word: u32) {
         self.observe(word as u64);
+    }
+
+    #[inline]
+    fn on_run(&mut self, _pc: u32, words: &[u32]) {
+        self.observe_run(words);
     }
 }
 
@@ -358,9 +437,64 @@ mod tests {
                             assert_eq!(bus.total_transitions(), counts.iter().sum::<u64>());
                         }
                         assert_eq!(bus.per_lane(), counts, "width {width} len {len}");
+                        assert_runs_match_words(width, &words, reset_at, len as u64 ^ width as u64);
                     }
                 }
             }
+        }
+    }
+
+    /// Seeded run lengths: empty runs, short odd and even ones, and runs
+    /// longer than 255 packed steps.
+    fn run_lengths(seed: u64) -> impl Iterator<Item = usize> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        std::iter::repeat_with(move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let draw = (state >> 8) as usize;
+            match state % 8 {
+                0 => 0,
+                1..=4 => draw % 16,
+                _ => draw % 700,
+            }
+        })
+    }
+
+    /// Feeds `words` as 32-bit bus words to one monitor a word at a time
+    /// and to another as runs cut at seeded points, resetting both before
+    /// word `reset_at`; after every run the two must agree on every
+    /// observable, however their counts are split.
+    fn assert_runs_match_words(width: usize, words: &[u64], reset_at: Option<usize>, seed: u64) {
+        let words: Vec<u32> = words.iter().map(|&word| word as u32).collect();
+        let mut by_word = DataBusMonitor::new(width);
+        let mut by_run = DataBusMonitor::new(width);
+        by_run.observe_run(&[]);
+        let mut lengths = run_lengths(seed);
+        let mut start = 0;
+        while start < words.len() {
+            if reset_at == Some(start) {
+                by_word.reset();
+                by_run.reset();
+            }
+            let mut end = (start + lengths.next().expect("endless")).min(words.len());
+            if let Some(reset) = reset_at.filter(|&reset| start < reset && reset < end) {
+                end = reset;
+            }
+            for &word in &words[start..end] {
+                by_word.observe(u64::from(word));
+            }
+            by_run.observe_run(&words[start..end]);
+            let at = format!("width {width} len {} run {start}..{end}", words.len());
+            assert_eq!(by_run.per_lane(), by_word.per_lane(), "{at}");
+            assert_eq!(
+                by_run.total_transitions(),
+                by_word.total_transitions(),
+                "{at}"
+            );
+            assert_eq!(by_run.words(), by_word.words(), "{at}");
+            assert_eq!(by_run, by_word, "{at}");
+            start = end;
         }
     }
 

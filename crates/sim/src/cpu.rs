@@ -25,7 +25,11 @@ use crate::mem::Memory;
 /// The core delivers fetches in straight-line runs through
 /// [`on_run`](FetchSink::on_run); [`Cpu::step`] delivers one fetch through
 /// [`on_fetch`](FetchSink::on_fetch). A sink that only implements
-/// `on_fetch` sees the same per-fetch sequence either way.
+/// `on_fetch` sees the same per-fetch sequence either way. A sink that
+/// overrides `on_run` must end in the state its `on_fetch` calls in order
+/// would leave: the edge recorder, the bus monitors and `imt-core`'s two
+/// full-simulation evaluation sinks do, each pinned to its per-fetch path
+/// by a test.
 pub trait FetchSink {
     /// Called once per executed instruction with its address and the
     /// machine word delivered over the instruction bus.

@@ -66,9 +66,13 @@
 //! by the step limit holds exactly the fetches the limit allowed. The
 //! default `on_run` feeds each fetch to [`FetchSink::on_fetch`] in order,
 //! so per-fetch sinks see the sequence [`Cpu::step`] would give them.
-//! [`edge::FetchEdgeRecorder`] overrides it to fold a run in O(1).
-//! `Cpu::step` stays the per-fetch reference; `tests/run_stepping.rs`
-//! proves the two equal on generated programs.
+//! [`edge::FetchEdgeRecorder`] overrides it to fold a run in O(1), and
+//! [`bus::DataBusMonitor`] to count a run in one slice pass
+//! ([`bus::DataBusMonitor::observe_run`], two transition words per SWAR
+//! step); `imt-core`'s full-simulation sinks build on it to count,
+//! restore and check a run at a time. `Cpu::step` stays the per-fetch
+//! reference; `tests/run_stepping.rs` proves the two equal on generated
+//! programs.
 
 // Library code must not panic on caller input: unwraps are reserved for
 // tests (see clippy.toml), and fallible paths return typed errors.

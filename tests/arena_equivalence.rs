@@ -183,3 +183,37 @@ fn cycle_state_scheme_is_refused_by_replay_on_every_kernel() {
         assert_eq!(evaluation.decode_mismatches, 0, "{kernel:?}");
     }
 }
+
+/// Every scheme's reduction reads the same in both result shapes — the
+/// arena's `SchemeEvaluation` and the `Evaluation` that serving returns —
+/// including when an encoding adds transitions (Gray on mmul), where the
+/// pipeline shape used to subtract in `u64`.
+#[test]
+fn reduction_percent_agrees_across_result_shapes_on_every_kernel() {
+    let mut negative = 0;
+    for &kernel in &Kernel::ALL {
+        let (program, profile, max_steps) = kernel_fixture(kernel);
+        let per_index = profile.per_index_counts();
+        for spec in SchemeSpec::ALL {
+            let mut scheme = build_scheme(spec, &program, &per_index, &EncoderConfig::default())
+                .unwrap_or_else(|e| panic!("{kernel:?}/{}: build failed: {e}", spec.name()));
+            let (evaluation, _) = evaluate_scheme_auto(
+                scheme.as_mut(),
+                &program,
+                max_steps,
+                Some(&profile),
+                EvalNeeds::transitions_only(),
+            )
+            .unwrap_or_else(|e| panic!("{kernel:?}/{}: eval failed: {e}", spec.name()));
+            let percent = evaluation.reduction_percent();
+            assert_eq!(
+                evaluation.to_evaluation().reduction_percent(),
+                percent,
+                "{kernel:?}/{}",
+                spec.name()
+            );
+            negative += usize::from(percent < 0.0);
+        }
+    }
+    assert!(negative > 0, "no scheme added transitions on any kernel");
+}
