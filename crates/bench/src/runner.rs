@@ -3,18 +3,23 @@
 //! Since the dynamic PC sequence is invariant under every encoding (decode
 //! is exact), each (kernel, scale) is simulated **once** into a
 //! [`FetchEdgeProfile`]; every grid cell then evaluates its encoded image
-//! in closed form through [`imt_core::eval::evaluate_replay`] — O(static
-//! edges) per cell instead of O(dynamic fetches). Profiles are memoized in
-//! process and shared across binaries via the on-disk
-//! [`imt_core::profile_cache`]; `--no-profile-cache` on any binary (or
-//! `IMT_PROFILE_CACHE=off`) restores the uncached per-call behaviour.
+//! in closed form through [`ReplayBasis::replay`] — O(static edges) per
+//! cell instead of O(dynamic fetches). The profile's [`ProgramAnalysis`]
+//! and [`ReplayBasis`] are built with it, so a cell prepares its codec,
+//! selects and replays. Profiles are memoized in process and shared across
+//! binaries via the on-disk [`imt_core::profile_cache`];
+//! `--no-profile-cache` on any binary (or `IMT_PROFILE_CACHE=off`)
+//! restores the uncached per-call behaviour.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use imt_bitcode::par::par_map_coarse;
-use imt_core::eval::{evaluate_auto, EvalNeeds, Evaluation};
-use imt_core::{encode_program, profile_cache, EncodedProgram, EncoderConfig};
+use imt_core::eval::{evaluate_auto_with, EvalNeeds, Evaluation, ReplayBasis};
+use imt_core::pipeline::select;
+use imt_core::{
+    profile_cache, CodecSettings, EncodedProgram, EncoderConfig, PreparedCodec, ProgramAnalysis,
+};
 use imt_isa::Program;
 use imt_kernels::{Kernel, KernelRun, KernelSpec};
 use imt_sim::edge::FetchEdgeProfile;
@@ -59,8 +64,9 @@ impl Scale {
 }
 
 /// One kernel's recorded run: the assembled program, its fetch-edge
-/// profile (which carries stdout, exit code and fetch count), and the
-/// per-instruction counts the encoder's hot-loop selection consumes.
+/// profile (which carries stdout, exit code and fetch count), the
+/// per-instruction counts the encoder's hot-loop selection consumes, and
+/// the encode analysis and replay basis every grid cell shares.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelProfile {
     /// The spec the profile was recorded for.
@@ -72,6 +78,10 @@ pub struct KernelProfile {
     /// Per-instruction execution counts (derived from `edges`; identical
     /// to [`imt_sim::Cpu::profile`]).
     pub profile: Vec<u64>,
+    /// The program's CFG, block weights and hot loops under `profile`.
+    pub analysis: ProgramAnalysis,
+    /// `edges` in replay form, with the baseline already counted.
+    pub basis: ReplayBasis,
 }
 
 impl KernelProfile {
@@ -151,11 +161,18 @@ pub fn kernel_profile(spec: &KernelSpec) -> Arc<KernelProfile> {
             recorded
         }
     };
+    let basis = ReplayBasis::new(&program, &edges)
+        .unwrap_or_else(|e| panic!("{}: replay basis failed: {e}", spec.name));
+    let per_index = basis.per_index().to_vec();
+    let analysis = ProgramAnalysis::new(&program, &per_index)
+        .unwrap_or_else(|e| panic!("{}: analysis failed: {e}", spec.name));
     let profile = Arc::new(KernelProfile {
         spec: spec.clone(),
         program,
-        profile: edges.per_index_counts(),
         edges,
+        profile: per_index,
+        analysis,
+        basis,
     });
     if caching {
         memo()
@@ -200,10 +217,10 @@ impl KernelPoint {
 
 /// Runs one kernel through profiling, encoding and evaluation.
 ///
-/// The profile comes from [`kernel_profile`] (recorded once, golden
-/// output asserted there); the evaluation replays it in closed form,
-/// falling back to full simulation only if the profile turns out
-/// replay-infeasible.
+/// The profile, analysis and replay basis come from [`kernel_profile`]
+/// (built once, golden output asserted there); the cell prepares its
+/// codec, selects, and replays against the basis, falling back to full
+/// simulation only if the profile turns out replay-infeasible.
 ///
 /// # Panics
 ///
@@ -220,15 +237,16 @@ pub fn run_kernel_point(kernel: Kernel, scale: Scale, config: &EncoderConfig) ->
     let _cell = imt_obs::push_label_lazy(|| format!("{}/k{}", spec.name, config.block_size()));
     let encoded = {
         let _span = imt_obs::span!("bench.encode");
-        encode_program(&profile.program, &profile.profile, config)
+        PreparedCodec::new(&profile.analysis, CodecSettings::of(config))
+            .and_then(|codec| select(&profile.analysis, &codec, config))
             .unwrap_or_else(|e| panic!("{}: encoding failed: {e}", spec.name))
     };
     let _span = imt_obs::span!("bench.evaluate");
-    let (evaluation, _path) = evaluate_auto(
+    let (evaluation, _path) = evaluate_auto_with(
         &profile.program,
         &encoded,
         spec.max_steps,
-        Some(&profile.edges),
+        Some(&profile.basis),
         EvalNeeds::transitions_only(),
     )
     .unwrap_or_else(|e| panic!("{}: evaluation failed: {e}", spec.name));

@@ -53,6 +53,12 @@ pub enum CoreError {
         /// Address of the mid-block entry point.
         pc: u32,
     },
+    /// A staged input — a prepared codec or a replay basis — was built
+    /// for another program or another codec setting than it is used with.
+    StageMismatch {
+        /// What did not match.
+        detail: &'static str,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -84,6 +90,7 @@ impl fmt::Display for CoreError {
                 f,
                 "fetch profile enters an encoded block mid-stream at {pc:08x}; replay evaluation is infeasible"
             ),
+            CoreError::StageMismatch { detail } => write!(f, "staged input mismatch: {detail}"),
         }
     }
 }

@@ -30,8 +30,8 @@
 //! anything beyond data-bus transition counts (icache, timing, address
 //! bus) requires the full simulator and is routed there explicitly.
 
-use imt_bitcode::simd;
-use imt_bitcode::slice::BitMatrix;
+use std::borrow::Borrow;
+
 use imt_isa::program::Program;
 use imt_sim::bus::DataBusMonitor;
 use imt_sim::cpu::{Cpu, FetchSink};
@@ -214,14 +214,17 @@ pub fn evaluate(
 /// returns an [`Evaluation`] bit-identical to [`evaluate`]'s on the same
 /// program.
 ///
-/// The transition totals (total *and* per lane) are weighted XOR+popcount
-/// sums over the edge multiset; the per-lane breakdown reuses the
-/// lane-transposed popcount machinery of [`imt_bitcode::packed`]. The
-/// decode check walks every scheduled block once through the real
+/// The transition totals (total *and* per lane) are weighted sums over
+/// the edge multiset of each edge's XOR word ([`weighted_transitions`]).
+/// The decode check walks every scheduled block once through the real
 /// [`FetchDecoder`]: a BBIT hit resets the decoder state, blocks are
 /// strictly sequential inside, and the profile is checked to contain no
 /// mid-block entries — so one walk per block witnesses every dynamic
 /// traversal, and a corrupted image or table is still refused.
+///
+/// This builds the profile's [`ReplayBasis`] and runs
+/// [`ReplayBasis::replay`] once; callers that score many encodings of one
+/// program keep the basis.
 ///
 /// # Errors
 ///
@@ -235,22 +238,206 @@ pub fn evaluate_replay(
     encoded: &EncodedProgram,
     profile: &FetchEdgeProfile,
 ) -> Result<Evaluation, CoreError> {
-    let _span = imt_obs::span!("core.evaluate_replay");
-    let text_len = program.text.len();
-    if profile.text_len() != text_len {
-        return Err(CoreError::ProfileLength {
+    ReplayBasis::new(program, profile)?.replay(program, encoded)
+}
+
+/// Everything replay needs from one (program, fetch-edge profile) pair
+/// that no encoding changes: the edge multiset in scoring form, the
+/// baseline totals (whole bus and per lane), the per-index fetch counts,
+/// the indices the profile enters non-sequentially, and the run's
+/// behaviour. Built once per recorded profile; every encoding of the
+/// program is then scored against it by [`ReplayBasis::replay`] (TT/BBIT)
+/// or [`crate::scheme::evaluate_scheme_replay_with`] (the arena).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplayBasis {
+    text_len: usize,
+    /// The weighted edges `(src, dst, weight)`, in profile order.
+    edges: Vec<(usize, usize, u64)>,
+    /// The seed, then every edge target not reached from its predecessor,
+    /// in profile order without repeats: the fetches that can enter a span.
+    entries: Vec<usize>,
+    baseline_transitions: u64,
+    per_lane_baseline: Vec<u64>,
+    per_index: Vec<u64>,
+    fetches: u64,
+    exit_code: i32,
+    stdout: String,
+}
+
+impl ReplayBasis {
+    /// Scores `program`'s own text over `profile` and keeps what every
+    /// later replay needs.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::ProfileLength`] if the profile covers a different text
+    /// length.
+    pub fn new(program: &Program, profile: &FetchEdgeProfile) -> Result<ReplayBasis, CoreError> {
+        let _span = imt_obs::span!("core.replay_basis");
+        let text_len = program.text.len();
+        if profile.text_len() != text_len {
+            return Err(CoreError::ProfileLength {
+                text_len,
+                profile_len: profile.text_len(),
+            });
+        }
+        let edges: Vec<_> = profile.edges().collect();
+        let (baseline_transitions, per_lane_baseline) =
+            lane_transitions(&program.text, edges.iter().copied());
+        let mut seen = vec![false; text_len];
+        let jumps = edges
+            .iter()
+            .filter(|&&(src, dst, _)| src + 1 != dst)
+            .map(|&(_, dst, _)| dst);
+        let entries = profile
+            .seed_index()
+            .into_iter()
+            .chain(jumps)
+            .filter(|&index| !std::mem::replace(&mut seen[index], true))
+            .collect();
+        Ok(ReplayBasis {
             text_len,
-            profile_len: profile.text_len(),
-        });
+            edges,
+            entries,
+            baseline_transitions,
+            per_lane_baseline,
+            per_index: profile.per_index_counts(),
+            fetches: profile.fetches(),
+            exit_code: profile.exit_code(),
+            stdout: profile.stdout().to_string(),
+        })
     }
+
+    /// Per-instruction execution counts of the recorded run (identical to
+    /// [`FetchEdgeProfile::per_index_counts`]).
+    pub fn per_index(&self) -> &[u64] {
+        &self.per_index
+    }
+
+    /// Total and per-lane weighted transitions of `words` (one per text
+    /// index) over the recorded edges: [`weighted_transitions`] without
+    /// re-reading the profile.
+    pub(crate) fn transitions(&self, words: &[u32]) -> (u64, Vec<u64>) {
+        lane_transitions(words, self.edges.iter().copied())
+    }
+
+    /// [`CoreError::ProfileLength`] unless `program` has the text length
+    /// the basis was built for.
+    pub(crate) fn check_program(&self, program: &Program) -> Result<(), CoreError> {
+        if program.text.len() != self.text_len {
+            return Err(CoreError::ProfileLength {
+                text_len: program.text.len(),
+                profile_len: self.text_len,
+            });
+        }
+        Ok(())
+    }
+
+    /// An evaluation of the recorded run with these encoded totals.
+    pub(crate) fn evaluation(
+        &self,
+        encoded_transitions: u64,
+        per_lane_encoded: Vec<u64>,
+        decoded_fetches: u64,
+    ) -> Evaluation {
+        Evaluation {
+            fetches: self.fetches,
+            baseline_transitions: self.baseline_transitions,
+            encoded_transitions,
+            per_lane_baseline: self.per_lane_baseline.clone(),
+            per_lane_encoded,
+            decode_mismatches: 0,
+            decoded_fetches,
+            passthrough_fetches: self.fetches - decoded_fetches,
+            exit_code: self.exit_code,
+            stdout: self.stdout.clone(),
+        }
+    }
+
+    /// [`evaluate_replay`] against this basis: the same span walk,
+    /// passthrough and single-entry checks and the same [`Evaluation`],
+    /// with the baseline already counted.
+    ///
+    /// # Errors
+    ///
+    /// As [`evaluate_replay`]; [`CoreError::ProfileLength`] also when
+    /// `program` is not the length of the program the basis was built for.
+    pub fn replay(
+        &self,
+        program: &Program,
+        encoded: &EncodedProgram,
+    ) -> Result<Evaluation, CoreError> {
+        let _span = imt_obs::span!("core.evaluate_replay");
+        self.check_program(program)?;
+        let spans = verify_spans(program, encoded)?;
+
+        // The soundness precondition: every dynamic entry into a scheduled
+        // block lands on its start PC (single-entry basic blocks). The
+        // recorded edges witness every entry, so this is checkable exactly.
+        if let Some(&index) = self.entries.iter().find(|&&index| spans.interior(index)) {
+            return Err(CoreError::ReplayInfeasible {
+                pc: encoded.text_base + 4 * index as u32,
+            });
+        }
+
+        // Closed-form transition counts over the weighted edge multiset.
+        let (encoded_total, per_lane_encoded) = self.transitions(&encoded.text);
+
+        // Every fetch of a scheduled index decodes through the TT (entries
+        // are always via the BBIT'd start PC, interiors always sequential —
+        // both just verified), so the decoded/passthrough split follows
+        // from the per-index counts.
+        let decoded_fetches: u64 = self
+            .per_index
+            .iter()
+            .zip(&spans.in_span)
+            .filter(|&(_, &inside)| inside)
+            .map(|(&count, _)| count)
+            .sum();
+
+        let evaluation = self.evaluation(encoded_total, per_lane_encoded, decoded_fetches);
+        if imt_obs::enabled() {
+            imt_obs::counter!("core.eval.replays").inc();
+            publish_eval_obs(&evaluation);
+        }
+        Ok(evaluation)
+    }
+}
+
+/// Which text indices the scheduled spans of an encoded image cover, and
+/// where each span starts.
+pub(crate) struct Spans {
+    in_span: Vec<bool>,
+    span_start: Vec<bool>,
+}
+
+impl Spans {
+    /// Inside a span but not at its start: a fetch here must come from
+    /// its predecessor.
+    fn interior(&self, index: usize) -> bool {
+        self.in_span[index] && !self.span_start[index]
+    }
+}
+
+/// The static decode proof of a TT/BBIT image: walks each scheduled
+/// block's fetch sequence once through the hardware model, then checks
+/// that outside every scheduled block the image holds the original words
+/// (they pass through the decoder untouched).
+///
+/// # Errors
+///
+/// [`CoreError::TableImage`] if the image length is wrong or a span leaves
+/// the text; [`CoreError::DecodeMismatch`] on the first word that fails.
+pub(crate) fn verify_spans(
+    program: &Program,
+    encoded: &EncodedProgram,
+) -> Result<Spans, CoreError> {
+    let text_len = program.text.len();
     if encoded.text.len() != text_len {
         return Err(CoreError::TableImage {
             detail: "encoded image length differs from the program text",
         });
     }
-
-    // Static decode verification: walk each scheduled block's fetch
-    // sequence once through the hardware model.
     let mut decoder = FetchDecoder::new(
         &encoded.tt,
         &encoded.bbit,
@@ -258,24 +445,29 @@ pub fn evaluate_replay(
         encoded.config.block_size(),
         encoded.config.overlap(),
     );
-    let mut in_span = vec![false; text_len];
-    let mut span_start = vec![false; text_len];
+    let mut spans = Spans {
+        in_span: vec![false; text_len],
+        span_start: vec![false; text_len],
+    };
     let mut restored = vec![0; text_len];
     let mut check = DecodeCheck::default();
     for (start_pc, end_pc) in decoder.scheduled_spans() {
         let start = pc_to_index(start_pc, encoded.text_base, text_len)?;
         let end = pc_to_index(end_pc.wrapping_sub(4), encoded.text_base, text_len)? + 1;
-        span_start[start] = true;
-        in_span[start..end].fill(true);
+        spans.span_start[start] = true;
+        spans.in_span[start..end].fill(true);
         decoder.reset();
         let restored = &mut restored[start..end];
         decoder.restore_run(start_pc, &encoded.text[start..end], restored);
         check.run(start_pc, restored, &program.text[start..end]);
         check.result()?;
     }
-    // Outside every scheduled block the image must be the original words
-    // (they pass through the decoder untouched).
-    for (index, _) in in_span.iter().enumerate().filter(|&(_, &inside)| !inside) {
+    for (index, _) in spans
+        .in_span
+        .iter()
+        .enumerate()
+        .filter(|&(_, &inside)| !inside)
+    {
         if encoded.text[index] != program.text[index] {
             return Err(CoreError::DecodeMismatch {
                 pc: encoded.text_base + 4 * index as u32,
@@ -284,59 +476,7 @@ pub fn evaluate_replay(
             });
         }
     }
-
-    // The soundness precondition: every dynamic entry into a scheduled
-    // block lands on its start PC (single-entry basic blocks). The
-    // recorded edges witness every entry, so this is checkable exactly.
-    let interior = |index: usize| in_span[index] && !span_start[index];
-    if let Some(seed) = profile.seed_index() {
-        if interior(seed) {
-            return Err(CoreError::ReplayInfeasible {
-                pc: encoded.text_base + 4 * seed as u32,
-            });
-        }
-    }
-    for (src, dst, _) in profile.edges() {
-        if interior(dst) && src + 1 != dst {
-            return Err(CoreError::ReplayInfeasible {
-                pc: encoded.text_base + 4 * dst as u32,
-            });
-        }
-    }
-
-    // Closed-form transition counts over the weighted edge multiset.
-    let (baseline_total, per_lane_baseline) = weighted_transitions(&program.text, profile);
-    let (encoded_total, per_lane_encoded) = weighted_transitions(&encoded.text, profile);
-
-    // Every fetch of a scheduled index decodes through the TT (entries are
-    // always via the BBIT'd start PC, interiors always sequential — both
-    // just verified), so the decoded/passthrough split follows from the
-    // per-index counts.
-    let per_index = profile.per_index_counts();
-    let decoded_fetches: u64 = per_index
-        .iter()
-        .zip(&in_span)
-        .filter(|&(_, &inside)| inside)
-        .map(|(&count, _)| count)
-        .sum();
-
-    let evaluation = Evaluation {
-        fetches: profile.fetches(),
-        baseline_transitions: baseline_total,
-        encoded_transitions: encoded_total,
-        per_lane_baseline,
-        per_lane_encoded,
-        decode_mismatches: 0,
-        decoded_fetches,
-        passthrough_fetches: profile.fetches() - decoded_fetches,
-        exit_code: profile.exit_code(),
-        stdout: profile.stdout().to_string(),
-    };
-    if imt_obs::enabled() {
-        imt_obs::counter!("core.eval.replays").inc();
-        publish_eval_obs(&evaluation);
-    }
-    Ok(evaluation)
+    Ok(spans)
 }
 
 pub(crate) fn pc_to_index(pc: u32, text_base: u32, text_len: usize) -> Result<usize, CoreError> {
@@ -351,50 +491,30 @@ pub(crate) fn pc_to_index(pc: u32, text_base: u32, text_len: usize) -> Result<us
 }
 
 /// Total and per-lane weighted transitions of `words` over the profile's
-/// edge multiset.
-///
-/// The total is a direct weighted popcount. The per-lane breakdown uses
-/// the bit-sliced machinery of [`BitMatrix`]: one tile-transpose pass
-/// turns the per-edge XOR words into one bitset per bus lane and each
-/// edge weight into one bitset per weight bit, then
-/// `per_lane[l] = Σ_b 2^b · popcount(lane_l & weight_plane_b)` — pure
-/// word-wide AND+popcount, no per-bit or per-lane extraction loops.
+/// edge multiset: each edge's weight is added to every lane its XOR word
+/// has set, one set bit at a time, and the total is the lanes' sum.
 ///
 /// Public because the scheme arena ([`crate::scheme`]) prices every
 /// static stored image — Gray, codebook, per-lane composites — in the
-/// same closed-form currency.
+/// same closed-form currency. A [`ReplayBasis`] keeps the edges, so
+/// [`ReplayBasis::transitions`] does not re-read the profile.
 pub fn weighted_transitions(words: &[u32], profile: &FetchEdgeProfile) -> (u64, Vec<u64>) {
-    let mut diffs = Vec::with_capacity(profile.distinct_edges());
-    let mut weights = Vec::with_capacity(profile.distinct_edges());
-    let mut total = 0u64;
-    for (src, dst, weight) in profile.edges() {
-        let diff = u64::from(words[src] ^ words[dst]);
-        total += weight * u64::from(diff.count_ones());
-        diffs.push(diff);
-        weights.push(weight);
-    }
+    lane_transitions(words, profile.edges())
+}
+
+fn lane_transitions(
+    words: &[u32],
+    edges: impl IntoIterator<Item = (usize, usize, u64)>,
+) -> (u64, Vec<u64>) {
     let mut per_lane = vec![0u64; BUS_WIDTH];
-    let weight_bits = 64 - weights.iter().fold(0u64, |acc, &w| acc | w).leading_zeros();
-    if weight_bits > 0 && !diffs.is_empty() {
-        let path = simd::active_path();
-        let lanes = BitMatrix::from_words(&diffs, BUS_WIDTH, path);
-        let planes = BitMatrix::from_words(&weights, weight_bits as usize, path);
-        for (lane, slot) in per_lane.iter_mut().enumerate() {
-            let lane_diffs = lanes.lane_row(lane);
-            let mut sum = 0u64;
-            for bit in 0..planes.lanes() {
-                let overlap: u64 = lane_diffs
-                    .iter()
-                    .zip(planes.lane_row(bit))
-                    .map(|(&d, &p)| u64::from((d & p).count_ones()))
-                    .sum();
-                sum += overlap << bit;
-            }
-            *slot = sum;
+    for (src, dst, weight) in edges {
+        let mut diff = words[src] ^ words[dst];
+        while diff != 0 {
+            per_lane[diff.trailing_zeros() as usize] += weight;
+            diff &= diff - 1;
         }
     }
-    debug_assert_eq!(per_lane.iter().sum::<u64>(), total);
-    (total, per_lane)
+    (per_lane.iter().sum(), per_lane)
 }
 
 /// What an evaluation's caller needs beyond data-bus transition counts.
@@ -463,6 +583,9 @@ pub enum EvalPath {
 /// falling back to full simulation otherwise — the two paths return
 /// bit-identical [`Evaluation`]s, so callers choose on cost, not result.
 ///
+/// A [`ReplayBasis`] is built from `profile` only when the route reaches
+/// replay.
+///
 /// # Errors
 ///
 /// As [`evaluate`] / [`evaluate_replay`] (a replay-infeasible profile is
@@ -474,22 +597,64 @@ pub fn evaluate_auto(
     profile: Option<&FetchEdgeProfile>,
     needs: EvalNeeds,
 ) -> Result<(Evaluation, EvalPath), CoreError> {
+    let basis = profile.map(|profile| move || ReplayBasis::new(program, profile));
+    route(
+        (),
+        needs,
+        basis,
+        |(), basis| basis.replay(program, encoded),
+        |()| evaluate(program, encoded, max_steps),
+    )
+}
+
+/// [`evaluate_auto`] with the replay basis already built: the same route,
+/// with `basis` standing in for the profile it was built from.
+///
+/// # Errors
+///
+/// As [`evaluate_auto`].
+pub fn evaluate_auto_with(
+    program: &Program,
+    encoded: &EncodedProgram,
+    max_steps: u64,
+    basis: Option<&ReplayBasis>,
+    needs: EvalNeeds,
+) -> Result<(Evaluation, EvalPath), CoreError> {
+    let basis = basis.map(|basis| move || Ok(basis));
+    route(
+        (),
+        needs,
+        basis,
+        |(), basis| basis.replay(program, encoded),
+        |()| evaluate(program, encoded, max_steps),
+    )
+}
+
+/// The route every auto evaluator takes: full simulation when `needs`
+/// demand it or no basis can be had; otherwise replay over the basis
+/// (obtained only now), falling back to full simulation when replay is
+/// infeasible. `subject` is what both paths evaluate, handed to whichever
+/// runs.
+pub(crate) fn route<S, B: Borrow<ReplayBasis>, E>(
+    mut subject: S,
+    needs: EvalNeeds,
+    basis: Option<impl FnOnce() -> Result<B, CoreError>>,
+    replay: impl FnOnce(&mut S, &ReplayBasis) -> Result<E, CoreError>,
+    full: impl FnOnce(&mut S) -> Result<E, CoreError>,
+) -> Result<(E, EvalPath), CoreError> {
     if let Some(reason) = needs.full_sim_reason() {
-        return Ok((
-            evaluate(program, encoded, max_steps)?,
-            EvalPath::FullSim(reason),
-        ));
+        return Ok((full(&mut subject)?, EvalPath::FullSim(reason)));
     }
-    let Some(profile) = profile else {
+    let Some(basis) = basis else {
         return Ok((
-            evaluate(program, encoded, max_steps)?,
+            full(&mut subject)?,
             EvalPath::FullSim(FullSimReason::NoProfile),
         ));
     };
-    match evaluate_replay(program, encoded, profile) {
+    match basis().and_then(|basis| replay(&mut subject, basis.borrow())) {
         Ok(evaluation) => Ok((evaluation, EvalPath::Replay)),
         Err(CoreError::ReplayInfeasible { .. }) => Ok((
-            evaluate(program, encoded, max_steps)?,
+            full(&mut subject)?,
             EvalPath::FullSim(FullSimReason::ReplayInfeasible),
         )),
         Err(e) => Err(e),

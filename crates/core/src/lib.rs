@@ -72,5 +72,7 @@ mod error;
 
 pub use config::EncoderConfig;
 pub use error::CoreError;
-pub use pipeline::{encode_program, EncodedProgram, RegionReport};
+pub use pipeline::{
+    encode_program, CodecSettings, EncodedProgram, PreparedCodec, ProgramAnalysis, RegionReport,
+};
 pub use protect::{FaultEvent, FaultOutcome, Protection, TableKind};

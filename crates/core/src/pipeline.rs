@@ -1,12 +1,32 @@
 //! The application-specific encoding pipeline: profile → hot loops →
 //! capacity-constrained block selection → encoded memory image + TT/BBIT
 //! contents.
+//!
+//! Encoding runs in three stages, each keyed on less than the one before:
+//!
+//! * [`ProgramAnalysis`] — the CFG, block weights and hot loops of one
+//!   (program, per-index profile); no configuration reaches it;
+//! * [`PreparedCodec`] — each candidate block's sliced encoding, stored
+//!   words and static transition counts under one [`CodecSettings`]
+//!   (block size, transform set, overlap, chain strategy), filled as
+//!   blocks are first needed; the TT/BBIT capacities never change it;
+//! * [`select`] — the capacity-constrained selection and image assembly,
+//!   the only stage the TT/BBIT capacities, `max_loops` and
+//!   `include_called_functions` reach.
+//!
+//! [`encode_program`] runs all three once. A server keeps the analysis
+//! per warmed kernel and the codec per codec setting, and runs only
+//! [`select`] per request.
 
+use std::sync::OnceLock;
+
+use imt_bitcode::block::OverlapHistory;
 use imt_bitcode::lanes::{width_mask, word_transitions};
 use imt_bitcode::par::par_map;
 use imt_bitcode::slice::{encode_words_sliced, SlicedEncoding};
-use imt_bitcode::stream::{StreamCodec, StreamCodecConfig};
-use imt_cfg::{block_weights, hot_loops, BlockId, Cfg};
+use imt_bitcode::stream::{ChainStrategy, StreamCodec, StreamCodecConfig};
+use imt_bitcode::TransformSet;
+use imt_cfg::{block_weights, hot_loops, BlockId, Cfg, HotLoop};
 use imt_isa::program::Program;
 
 use crate::config::EncoderConfig;
@@ -108,19 +128,6 @@ impl EncodedProgram {
     }
 }
 
-/// A candidate block's encoding, computed before (and independently of)
-/// the capacity-constrained selection pass.
-enum PreparedCandidate {
-    /// Block never executed in the profile; nothing to encode.
-    Cold,
-    Encoded {
-        encoding: SlicedEncoding,
-        encoded_words: Vec<u32>,
-        original_transitions: u64,
-        encoded_transitions: u64,
-    },
-}
-
 /// Runs the full pipeline: CFG recovery, hot-loop ranking, greedy
 /// capacity-constrained selection, per-block lane encoding.
 ///
@@ -135,6 +142,10 @@ enum PreparedCandidate {
 /// demoted to pass-through (the paper's identity treatment of infrequent
 /// blocks, §7.2).
 ///
+/// This is the three stages run once each: [`ProgramAnalysis::new`],
+/// [`PreparedCodec::new`] and [`select`]. Callers that encode one program
+/// many times keep the first two and call only [`select`].
+///
 /// # Errors
 ///
 /// [`CoreError::ProfileLength`] if the profile does not cover the text;
@@ -145,111 +156,284 @@ pub fn encode_program(
     profile: &[u64],
     config: &EncoderConfig,
 ) -> Result<EncodedProgram, CoreError> {
-    let _span = imt_obs::span!("core.encode_program");
-    if profile.len() < program.text.len() {
-        return Err(CoreError::ProfileLength {
-            text_len: program.text.len(),
-            profile_len: profile.len(),
-        });
-    }
-    let cfg = Cfg::build(program)?;
-    let weights = block_weights(&cfg, profile);
-    let loops = hot_loops(&cfg, profile);
-    let top: Vec<_> = loops
-        .iter()
-        .filter(|l| l.fetch_weight > 0)
-        .take(config.max_loops())
-        .collect();
+    let analysis = ProgramAnalysis::new(program, profile)?;
+    let codec = PreparedCodec::new(&analysis, CodecSettings::of(config))?;
+    select(&analysis, &codec, config)
+}
 
-    // Candidate blocks: union of the top loops' bodies, hottest first.
-    // With `include_called_functions`, the bodies of functions called from
-    // inside those loops join the candidate set (§7.2's alternative).
-    let mut candidates: Vec<BlockId> = Vec::new();
-    for l in &top {
-        for &b in &l.natural_loop.body {
-            if !candidates.contains(&b) {
-                candidates.push(b);
-            }
+/// What encoding learns from a program and its per-index profile alone:
+/// the text, the CFG, the block weights and the hot loops. No part of an
+/// [`EncoderConfig`] reaches it, so one analysis serves every
+/// configuration of the same (program, profile).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProgramAnalysis {
+    text: Vec<u32>,
+    text_base: u32,
+    /// Content hash of the text and its base: a [`PreparedCodec`] is valid
+    /// for exactly the analyses that share it.
+    fingerprint: u64,
+    cfg: Cfg,
+    weights: Vec<u64>,
+    loops: Vec<HotLoop>,
+}
+
+impl ProgramAnalysis {
+    /// Recovers the CFG and ranks the loops of `program` under `profile`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::ProfileLength`] if the profile does not cover the text;
+    /// [`CoreError::Cfg`] if the text is empty or malformed.
+    pub fn new(program: &Program, profile: &[u64]) -> Result<ProgramAnalysis, CoreError> {
+        let _span = imt_obs::span!("core.analyse");
+        if profile.len() < program.text.len() {
+            return Err(CoreError::ProfileLength {
+                text_len: program.text.len(),
+                profile_len: profile.len(),
+            });
         }
-        if config.include_called_functions() {
-            for callee in cfg.called_functions(&l.natural_loop.body) {
-                for b in cfg.reachable_from(callee) {
-                    if !candidates.contains(&b) {
-                        candidates.push(b);
+        let cfg = Cfg::build(program)?;
+        let weights = block_weights(&cfg, profile);
+        let loops = hot_loops(&cfg, profile);
+        Ok(ProgramAnalysis {
+            text: program.text.clone(),
+            text_base: program.text_base,
+            fingerprint: text_fingerprint(&program.text, program.text_base),
+            cfg,
+            weights,
+            loops,
+        })
+    }
+
+    /// The loops `config` considers (those with any fetch weight, at most
+    /// [`EncoderConfig::max_loops`]) and its candidate blocks: the union
+    /// of their bodies, hottest first. With `include_called_functions`,
+    /// the bodies of functions called from inside those loops join the
+    /// candidate set (§7.2's alternative).
+    fn candidates(&self, config: &EncoderConfig) -> (usize, Vec<BlockId>) {
+        let top: Vec<_> = self
+            .loops
+            .iter()
+            .filter(|l| l.fetch_weight > 0)
+            .take(config.max_loops())
+            .collect();
+        let mut candidates: Vec<BlockId> = Vec::new();
+        for l in &top {
+            for &b in &l.natural_loop.body {
+                if !candidates.contains(&b) {
+                    candidates.push(b);
+                }
+            }
+            if config.include_called_functions() {
+                for callee in self.cfg.called_functions(&l.natural_loop.body) {
+                    for b in self.cfg.reachable_from(callee) {
+                        if !candidates.contains(&b) {
+                            candidates.push(b);
+                        }
                     }
                 }
             }
         }
+        candidates.sort_by_key(|b| std::cmp::Reverse(self.weights[b.0]));
+        (top.len(), candidates)
     }
-    candidates.sort_by_key(|b| std::cmp::Reverse(weights[b.0]));
+}
 
-    let codec = StreamCodec::new(
-        StreamCodecConfig::block_size(config.block_size())
-            .map_err(CoreError::Codec)?
-            .with_transforms(config.transforms())
-            .map_err(CoreError::Codec)?
-            .with_overlap(config.overlap())
-            .with_strategy(config.strategy()),
-    );
+/// FNV-1a over the text words and their base address.
+fn text_fingerprint(text: &[u32], text_base: u32) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &word in std::iter::once(&text_base).chain(text) {
+        hash = (hash ^ u64::from(word)).wrapping_mul(PRIME);
+    }
+    hash
+}
 
-    // Encoding a candidate depends only on its own words, so all
-    // candidates encode in parallel; the capacity-constrained selection
-    // below stays serial in candidate (weight) order, which keeps the
-    // TT/BBIT allocation — and thus the whole image — bit-identical to a
-    // serial run.
-    let bus_mask = width_mask(BUS_WIDTH);
-    let prepare_span = imt_obs::span!("core.prepare_candidates");
-    let prepared: Vec<Result<PreparedCandidate, CoreError>> =
-        par_map(&candidates, 1, |_, &block_id| {
-            if weights[block_id.0] == 0 {
-                return Ok(PreparedCandidate::Cold);
-            }
-            let block = cfg.block(block_id);
-            let words = &program.text[block.range()];
-            let wide: Vec<u64> = words.iter().map(|&w| w as u64).collect();
-            let encoding =
-                encode_words_sliced(&wide, BUS_WIDTH, &codec).map_err(CoreError::Codec)?;
-            let encoded_words: Vec<u32> = encoding.words().iter().map(|&w| w as u32).collect();
-            Ok(PreparedCandidate::Encoded {
-                original_transitions: word_transitions(&wide, bus_mask),
-                encoded_transitions: word_transitions(encoding.words(), bus_mask),
-                encoding,
-                encoded_words,
-            })
+/// The part of an [`EncoderConfig`] a block's encoding depends on: block
+/// size, transform set, overlap semantics and chain strategy. The TT and
+/// BBIT capacities, `max_loops` and `include_called_functions` only steer
+/// [`select`], so they are not part of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CodecSettings {
+    block_size: usize,
+    transforms: TransformSet,
+    overlap: OverlapHistory,
+    strategy: ChainStrategy,
+}
+
+impl CodecSettings {
+    /// The codec half of `config`.
+    pub fn of(config: &EncoderConfig) -> CodecSettings {
+        CodecSettings {
+            block_size: config.block_size(),
+            transforms: config.transforms(),
+            overlap: config.overlap(),
+            strategy: config.strategy(),
+        }
+    }
+}
+
+/// One candidate block through the codec: its sliced encoding, the words
+/// memory stores, and the static within-block transitions before and
+/// after.
+#[derive(Debug)]
+struct PreparedBlock {
+    encoding: SlicedEncoding,
+    encoded_words: Vec<u32>,
+    original_transitions: u64,
+    encoded_transitions: u64,
+}
+
+/// A codec setting applied to one program's blocks: each block's encoding,
+/// computed the first time a [`select`] needs it and kept for every later
+/// one. A block's encoding depends only on its words and the
+/// [`CodecSettings`], so a prepared codec serves every configuration with
+/// those settings — whatever its TT/BBIT capacities — on any analysis of
+/// the same program. Shareable across threads: a block slot is filled
+/// once, and a racing fill computes the same value.
+#[derive(Debug)]
+pub struct PreparedCodec {
+    settings: CodecSettings,
+    codec: StreamCodec,
+    fingerprint: u64,
+    /// One slot per CFG block, filled on first use.
+    blocks: Vec<OnceLock<Result<PreparedBlock, CoreError>>>,
+}
+
+impl PreparedCodec {
+    /// An empty codec for `settings` over `analysis`'s program; blocks are
+    /// encoded as [`select`] first needs them.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Codec`] if the settings do not form a valid codec.
+    pub fn new(
+        analysis: &ProgramAnalysis,
+        settings: CodecSettings,
+    ) -> Result<PreparedCodec, CoreError> {
+        let codec = StreamCodec::new(
+            StreamCodecConfig::block_size(settings.block_size)?
+                .with_transforms(settings.transforms)?
+                .with_overlap(settings.overlap)
+                .with_strategy(settings.strategy),
+        );
+        Ok(PreparedCodec {
+            settings,
+            codec,
+            fingerprint: analysis.fingerprint,
+            blocks: (0..analysis.cfg.blocks().len())
+                .map(|_| OnceLock::new())
+                .collect(),
+        })
+    }
+
+    /// Encodes every block of `candidates` not encoded yet. Encoding a
+    /// block depends only on its own words, so they encode in parallel.
+    fn prepare(&self, analysis: &ProgramAnalysis, candidates: &[BlockId]) {
+        let missing: Vec<BlockId> = candidates
+            .iter()
+            .copied()
+            .filter(|b| self.blocks[b.0].get().is_none())
+            .collect();
+        if missing.is_empty() {
+            return;
+        }
+        let _span = imt_obs::span!("core.prepare_candidates");
+        let prepared = par_map(&missing, 1, |_, &block_id| {
+            self.encode_block(analysis, block_id)
         });
-    drop(prepare_span);
+        for (block_id, block) in missing.into_iter().zip(prepared) {
+            // A racing `select` may have filled the slot first; both
+            // computed the same value.
+            let _ = self.blocks[block_id.0].set(block);
+        }
+    }
 
-    let mut text = program.text.clone();
+    /// `block_id`'s encoding, computing it now if no `prepare` did.
+    fn block(
+        &self,
+        analysis: &ProgramAnalysis,
+        block_id: BlockId,
+    ) -> Result<&PreparedBlock, CoreError> {
+        self.blocks[block_id.0]
+            .get_or_init(|| self.encode_block(analysis, block_id))
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    fn encode_block(
+        &self,
+        analysis: &ProgramAnalysis,
+        block_id: BlockId,
+    ) -> Result<PreparedBlock, CoreError> {
+        let words = &analysis.text[analysis.cfg.block(block_id).range()];
+        let wide: Vec<u64> = words.iter().map(|&w| w as u64).collect();
+        let encoding = encode_words_sliced(&wide, BUS_WIDTH, &self.codec)?;
+        let bus_mask = width_mask(BUS_WIDTH);
+        Ok(PreparedBlock {
+            encoded_words: encoding.words().iter().map(|&w| w as u32).collect(),
+            original_transitions: word_transitions(&wide, bus_mask),
+            encoded_transitions: word_transitions(encoding.words(), bus_mask),
+            encoding,
+        })
+    }
+}
+
+/// The per-configuration stage: picks the blocks `config`'s TT and BBIT
+/// capacities admit, in candidate (weight) order, and assembles the
+/// memory image and table contents from `codec`'s block encodings,
+/// encoding any candidate `codec` has not seen yet.
+///
+/// The selection is serial in candidate order, so the TT/BBIT allocation
+/// — and thus the whole image — is the same however the codec was filled.
+///
+/// # Errors
+///
+/// [`CoreError::StageMismatch`] if `codec` was prepared for another
+/// program or other [`CodecSettings`] than `config`'s;
+/// [`CoreError::Codec`] only on internal misuse (widths are fixed here).
+pub fn select(
+    analysis: &ProgramAnalysis,
+    codec: &PreparedCodec,
+    config: &EncoderConfig,
+) -> Result<EncodedProgram, CoreError> {
+    let _span = imt_obs::span!("core.encode_program");
+    if codec.fingerprint != analysis.fingerprint {
+        return Err(CoreError::StageMismatch {
+            detail: "prepared codec belongs to another program",
+        });
+    }
+    if codec.settings != CodecSettings::of(config) {
+        return Err(CoreError::StageMismatch {
+            detail: "prepared codec has other codec settings than the configuration",
+        });
+    }
+    let (loops_considered, candidates) = analysis.candidates(config);
+    let hot: Vec<BlockId> = candidates
+        .iter()
+        .copied()
+        .filter(|b| analysis.weights[b.0] > 0)
+        .collect();
+    codec.prepare(analysis, &hot);
+
+    let mut text = analysis.text.clone();
     let mut tt = TransformationTable::new();
     let mut bbit = Bbit::new();
     let mut encoded = Vec::new();
     let mut demoted = Vec::new();
 
-    for (block_id, prepared) in candidates.into_iter().zip(prepared) {
-        let block = cfg.block(block_id);
-        let weight = weights[block_id.0];
-        let (encoding, encoded_words, original_transitions, encoded_transitions) = match prepared? {
-            PreparedCandidate::Cold => {
-                demoted.push((block_id, DemotionReason::ColdBlock));
-                continue;
-            }
-            PreparedCandidate::Encoded {
-                encoding,
-                encoded_words,
-                original_transitions,
-                encoded_transitions,
-            } => (
-                encoding,
-                encoded_words,
-                original_transitions,
-                encoded_transitions,
-            ),
-        };
-        if encoded_transitions >= original_transitions {
+    for block_id in candidates {
+        let weight = analysis.weights[block_id.0];
+        if weight == 0 {
+            demoted.push((block_id, DemotionReason::ColdBlock));
+            continue;
+        }
+        let prepared = codec.block(analysis, block_id)?;
+        if prepared.encoded_transitions >= prepared.original_transitions {
             demoted.push((block_id, DemotionReason::NoSaving));
             continue;
         }
-        let tt_count = encoding.block_count();
+        let tt_count = prepared.encoding.block_count();
         if tt.len() + tt_count > config.tt_capacity() {
             demoted.push((block_id, DemotionReason::TtCapacity));
             continue;
@@ -264,35 +448,35 @@ pub fn encode_program(
         let tt_first = tt.len();
         for position in 0..tt_count {
             let lane_transforms = (0..BUS_WIDTH)
-                .map(|lane| encoding.transform(position, lane))
+                .map(|lane| prepared.encoding.transform(position, lane))
                 .collect();
-            let covers = encoding.block_len(position);
             tt.push(TtEntry {
                 lane_transforms,
                 end: position + 1 == tt_count,
-                covers,
+                covers: prepared.encoding.block_len(position),
             });
         }
-        let start_pc = cfg.block_address(block_id);
+        let block = analysis.cfg.block(block_id);
+        let start_pc = analysis.cfg.block_address(block_id);
         bbit.push(BbitEntry {
             pc: start_pc,
             tt_index: tt_first,
         });
-        text[block.range()].copy_from_slice(&encoded_words);
+        text[block.range()].copy_from_slice(&prepared.encoded_words);
         encoded.push(EncodedBlockInfo {
             block: block_id,
             start_pc,
             instructions: block.len,
             tt_first,
             tt_count,
-            original_transitions,
-            encoded_transitions,
+            original_transitions: prepared.original_transitions,
+            encoded_transitions: prepared.encoded_transitions,
             fetch_weight: weight,
         });
     }
 
     let report = RegionReport {
-        loops_considered: top.len(),
+        loops_considered,
         encoded,
         demoted,
         tt_used: tt.len(),
@@ -307,7 +491,7 @@ pub fn encode_program(
         bbit,
         config: *config,
         report,
-        text_base: program.text_base,
+        text_base: analysis.text_base,
     })
 }
 

@@ -7,7 +7,7 @@
 //! competitors behind it:
 //!
 //! * [`TtBbitScheme`] — the paper's scheme, wrapping the existing
-//!   [`crate::encode_program`] / [`evaluate_replay`] pipeline unchanged,
+//!   [`crate::encode_program`] / [`crate::eval::evaluate_replay`] pipeline unchanged,
 //!   so every number it reports stays byte-identical to the committed
 //!   results.
 //! * [`GrayScheme`] — memoryless Gray word sequencing
@@ -28,7 +28,7 @@
 //! * `Memoryless` — the stored word is a pure function of the original
 //!   word; decode verification is per-word.
 //! * `BlockState` — per-block decoder state (TT/BBIT); replayable under
-//!   the single-entry span check of [`evaluate_replay`].
+//!   the single-entry span check of [`crate::eval::evaluate_replay`].
 //! * `CycleState` — the driven bus depends on unbounded fetch history
 //!   (bus-invert); **never** replayable. [`evaluate_scheme_replay`]
 //!   refuses with [`CoreError::ReplayInfeasible`], and
@@ -49,6 +49,8 @@
 //! majority vote) cannot decode from a lane subset and only compete
 //! whole-bus.
 
+use std::borrow::Borrow;
+
 use imt_bitcode::businvert::BusInvertState;
 use imt_bitcode::gray::{gray_image, ungray_word};
 use imt_bitcode::lowweight::LowWeightBook;
@@ -59,8 +61,8 @@ use imt_sim::edge::FetchEdgeProfile;
 
 use crate::error::CoreError;
 use crate::eval::{
-    evaluate, evaluate_replay, pc_to_index, run_buffer, weighted_transitions, DecodeCheck,
-    EvalNeeds, EvalPath, Evaluation, FullSimReason,
+    evaluate, pc_to_index, route, run_buffer, verify_spans, DecodeCheck, EvalNeeds, EvalPath,
+    Evaluation, ReplayBasis,
 };
 use crate::hardware::FetchDecoder;
 use crate::pipeline::{encode_program, EncodedProgram, BUS_WIDTH};
@@ -73,7 +75,7 @@ pub enum ReplayClass {
     /// verification is per-word; transitions replay closed-form.
     Memoryless,
     /// Per-block decoder state (TT/BBIT). Replayable under the
-    /// single-entry span check of [`evaluate_replay`].
+    /// single-entry span check of [`crate::eval::evaluate_replay`].
     BlockState,
     /// The driven bus depends on unbounded cycle history. Never
     /// replayable from a stateless edge profile — full simulation only.
@@ -170,7 +172,7 @@ pub struct SimFetch {
 /// through [`evaluate_scheme_replay`] / [`evaluate_scheme_full`] /
 /// [`evaluate_scheme_auto`], which route on [`Encoder::replay_class`]
 /// and [`Encoder::as_tt`] — the TT/BBIT implementor delegates to the
-/// original [`evaluate`] / [`evaluate_replay`] pipeline unchanged, so
+/// original [`evaluate`] / [`crate::eval::evaluate_replay`] pipeline unchanged, so
 /// its numbers stay byte-identical to the pre-arena results.
 pub trait Encoder {
     /// Scheme name (matches [`SchemeSpec::name`]).
@@ -192,7 +194,7 @@ pub trait Encoder {
 
     /// Per-word restore for [`ReplayClass::Memoryless`] schemes. Block-
     /// and cycle-state schemes keep the identity default; their decode
-    /// is verified by their own paths ([`evaluate_replay`]'s span walk,
+    /// is verified by their own paths ([`crate::eval::evaluate_replay`]'s span walk,
     /// the full-simulation drive model).
     fn decode_word(&self, stored: u32) -> u32 {
         stored
@@ -360,9 +362,8 @@ impl Encoder for TtBbitScheme {
     }
 
     fn verify_decode(&self, program: &Program) -> Result<(), CoreError> {
-        // The span walk of the replay evaluator is the decode proof;
-        // reuse it via a throwaway profile-free walk.
-        verify_tt_image(program, &self.encoded)
+        // The span walk of the replay evaluator is the decode proof.
+        verify_spans(program, &self.encoded).map(drop)
     }
 
     fn reset(&mut self) {}
@@ -370,48 +371,6 @@ impl Encoder for TtBbitScheme {
     fn as_tt(&self) -> Option<&EncodedProgram> {
         Some(&self.encoded)
     }
-}
-
-/// Walks every scheduled span of `encoded` through the hardware decoder
-/// and checks passthrough equality outside spans — the same static
-/// decode proof [`evaluate_replay`] performs.
-fn verify_tt_image(program: &Program, encoded: &EncodedProgram) -> Result<(), CoreError> {
-    let text_len = program.text.len();
-    if encoded.text.len() != text_len {
-        return Err(CoreError::TableImage {
-            detail: "encoded image length differs from the program text",
-        });
-    }
-    let mut decoder = FetchDecoder::new(
-        &encoded.tt,
-        &encoded.bbit,
-        BUS_WIDTH,
-        encoded.config.block_size(),
-        encoded.config.overlap(),
-    );
-    let mut in_span = vec![false; text_len];
-    let mut restored = vec![0; text_len];
-    let mut check = DecodeCheck::default();
-    for (start_pc, end_pc) in decoder.scheduled_spans() {
-        let start = pc_to_index(start_pc, encoded.text_base, text_len)?;
-        let end = pc_to_index(end_pc.wrapping_sub(4), encoded.text_base, text_len)? + 1;
-        in_span[start..end].fill(true);
-        decoder.reset();
-        let restored = &mut restored[start..end];
-        decoder.restore_run(start_pc, &encoded.text[start..end], restored);
-        check.run(start_pc, restored, &program.text[start..end]);
-        check.result()?;
-    }
-    for (index, _) in in_span.iter().enumerate().filter(|&(_, &inside)| !inside) {
-        if encoded.text[index] != program.text[index] {
-            return Err(CoreError::DecodeMismatch {
-                pc: encoded.text_base + 4 * index as u32,
-                decoded: encoded.text[index],
-                expected: program.text[index],
-            });
-        }
-    }
-    Ok(())
 }
 
 /// Gray word sequencing: stored word `w ^ (w >> 1)`, restored by the
@@ -625,18 +584,18 @@ impl SchemeEvaluation {
             * 100.0
     }
 
-    fn from_evaluation(eval: &Evaluation) -> SchemeEvaluation {
+    fn from_evaluation(eval: Evaluation) -> SchemeEvaluation {
         SchemeEvaluation {
             fetches: eval.fetches,
             baseline_transitions: eval.baseline_transitions,
             encoded_transitions: eval.encoded_transitions,
-            per_lane_baseline: eval.per_lane_baseline.clone(),
-            per_lane_encoded: eval.per_lane_encoded.clone(),
+            per_lane_baseline: eval.per_lane_baseline,
+            per_lane_encoded: eval.per_lane_encoded,
             extra_line_transitions: 0,
             decoded_fetches: eval.decoded_fetches,
             decode_mismatches: eval.decode_mismatches,
             exit_code: eval.exit_code,
-            stdout: eval.stdout.clone(),
+            stdout: eval.stdout,
         }
     }
 
@@ -662,11 +621,14 @@ impl SchemeEvaluation {
 
 /// Scores `scheme` closed-form over a recorded edge profile.
 ///
+/// This builds the profile's [`ReplayBasis`] and runs
+/// [`evaluate_scheme_replay_with`] once.
+///
 /// # Errors
 ///
 /// [`CoreError::ReplayInfeasible`] for [`ReplayClass::CycleState`]
 /// schemes — their bus state depends on fetch *order*, which the edge
-/// multiset does not witness — and whatever [`evaluate_replay`] reports
+/// multiset does not witness — and whatever [`crate::eval::evaluate_replay`] reports
 /// for the TT/BBIT scheme (including its own infeasibility check).
 /// Memoryless schemes report [`CoreError::ProfileLength`] on a profile
 /// for different text and [`CoreError::DecodeMismatch`] if the image
@@ -676,51 +638,66 @@ pub fn evaluate_scheme_replay(
     program: &Program,
     profile: &FetchEdgeProfile,
 ) -> Result<SchemeEvaluation, CoreError> {
+    if let Some(refusal) = replay_refusal(scheme, program) {
+        return Err(refusal);
+    }
+    evaluate_scheme_replay_with(scheme, program, &ReplayBasis::new(program, profile)?)
+}
+
+/// [`evaluate_scheme_replay`] against a prebuilt [`ReplayBasis`]: the
+/// TT/BBIT scheme goes through [`ReplayBasis::replay`], a memoryless
+/// scheme is proven word by word and priced over the basis's edges.
+///
+/// # Errors
+///
+/// As [`evaluate_scheme_replay`]; [`CoreError::ProfileLength`] also when
+/// `program` is not the length of the program the basis was built for.
+pub fn evaluate_scheme_replay_with(
+    scheme: &dyn Encoder,
+    program: &Program,
+    basis: &ReplayBasis,
+) -> Result<SchemeEvaluation, CoreError> {
+    if let Some(refusal) = replay_refusal(scheme, program) {
+        return Err(refusal);
+    }
     if let Some(encoded) = scheme.as_tt() {
-        return Ok(SchemeEvaluation::from_evaluation(&evaluate_replay(
-            program, encoded, profile,
-        )?));
+        return Ok(SchemeEvaluation::from_evaluation(
+            basis.replay(program, encoded)?,
+        ));
+    }
+    basis.check_program(program)?;
+    scheme.verify_decode(program)?;
+    let stored = scheme.stored_image();
+    let (encoded_transitions, per_lane_encoded) = basis.transitions(stored);
+    let decoded_fetches: u64 = basis
+        .per_index()
+        .iter()
+        .zip(program.text.iter().zip(stored))
+        .filter(|&(_, (&orig, &s))| orig != s)
+        .map(|(&count, _)| count)
+        .sum();
+    Ok(SchemeEvaluation::from_evaluation(basis.evaluation(
+        encoded_transitions,
+        per_lane_encoded,
+        decoded_fetches,
+    )))
+}
+
+/// Why `scheme` can never be replayed, whatever the profile: cycle-state
+/// schemes depend on fetch order, and a block-state scheme is replayable
+/// only as the TT/BBIT image.
+fn replay_refusal(scheme: &dyn Encoder, program: &Program) -> Option<CoreError> {
+    if scheme.as_tt().is_some() {
+        return None;
     }
     match scheme.replay_class() {
-        ReplayClass::CycleState => Err(CoreError::ReplayInfeasible {
+        ReplayClass::CycleState => Some(CoreError::ReplayInfeasible {
             pc: program.text_base,
         }),
-        ReplayClass::BlockState => Err(CoreError::TableImage {
+        ReplayClass::BlockState => Some(CoreError::TableImage {
             detail: "block-state scheme without a TT/BBIT image",
         }),
-        ReplayClass::Memoryless => {
-            let text_len = program.text.len();
-            if profile.text_len() != text_len {
-                return Err(CoreError::ProfileLength {
-                    text_len,
-                    profile_len: profile.text_len(),
-                });
-            }
-            scheme.verify_decode(program)?;
-            let stored = scheme.stored_image();
-            let (baseline_transitions, per_lane_baseline) =
-                weighted_transitions(&program.text, profile);
-            let (encoded_transitions, per_lane_encoded) = weighted_transitions(stored, profile);
-            let decoded_fetches: u64 = profile
-                .per_index_counts()
-                .iter()
-                .zip(program.text.iter().zip(stored))
-                .filter(|&(_, (&orig, &s))| orig != s)
-                .map(|(&count, _)| count)
-                .sum();
-            Ok(SchemeEvaluation {
-                fetches: profile.fetches(),
-                baseline_transitions,
-                encoded_transitions,
-                per_lane_baseline,
-                per_lane_encoded,
-                extra_line_transitions: 0,
-                decoded_fetches,
-                decode_mismatches: 0,
-                exit_code: profile.exit_code(),
-                stdout: profile.stdout().to_string(),
-            })
-        }
+        ReplayClass::Memoryless => None,
     }
 }
 
@@ -773,7 +750,7 @@ pub fn evaluate_scheme_full(
     max_steps: u64,
 ) -> Result<SchemeEvaluation, CoreError> {
     if let Some(encoded) = scheme.as_tt() {
-        return Ok(SchemeEvaluation::from_evaluation(&evaluate(
+        return Ok(SchemeEvaluation::from_evaluation(evaluate(
             program, encoded, max_steps,
         )?));
     }
@@ -814,6 +791,9 @@ pub fn evaluate_scheme_full(
 /// simulation with a typed reason. A per-cycle-state scheme can never be
 /// silently scored by the stateless replay path.
 ///
+/// A [`ReplayBasis`] is built from `profile` only when the route reaches
+/// replay.
+///
 /// # Errors
 ///
 /// Whatever the chosen path reports (other than
@@ -826,32 +806,53 @@ pub fn evaluate_scheme_auto(
     profile: Option<&FetchEdgeProfile>,
     needs: EvalNeeds,
 ) -> Result<(SchemeEvaluation, EvalPath), CoreError> {
-    if let Some(reason) = needs.full_sim_reason() {
-        return Ok((
-            evaluate_scheme_full(scheme, program, max_steps)?,
-            EvalPath::FullSim(reason),
-        ));
-    }
-    let Some(profile) = profile else {
-        return Ok((
-            evaluate_scheme_full(scheme, program, max_steps)?,
-            EvalPath::FullSim(FullSimReason::NoProfile),
-        ));
-    };
-    if scheme.replay_class() == ReplayClass::CycleState {
-        return Ok((
-            evaluate_scheme_full(scheme, program, max_steps)?,
-            EvalPath::FullSim(FullSimReason::ReplayInfeasible),
-        ));
-    }
-    match evaluate_scheme_replay(scheme, program, profile) {
-        Ok(eval) => Ok((eval, EvalPath::Replay)),
-        Err(CoreError::ReplayInfeasible { .. }) => Ok((
-            evaluate_scheme_full(scheme, program, max_steps)?,
-            EvalPath::FullSim(FullSimReason::ReplayInfeasible),
-        )),
-        Err(e) => Err(e),
-    }
+    let refusal = replay_refusal(scheme, program);
+    let basis = profile.map(|profile| {
+        move || match refusal {
+            Some(refusal) => Err(refusal),
+            None => ReplayBasis::new(program, profile),
+        }
+    });
+    route_scheme(scheme, program, max_steps, basis, needs)
+}
+
+/// [`evaluate_scheme_auto`] with the replay basis already built: the same
+/// route, with `basis` standing in for the profile it was built from.
+///
+/// # Errors
+///
+/// As [`evaluate_scheme_auto`].
+pub fn evaluate_scheme_auto_with(
+    scheme: &mut dyn Encoder,
+    program: &Program,
+    max_steps: u64,
+    basis: Option<&ReplayBasis>,
+    needs: EvalNeeds,
+) -> Result<(SchemeEvaluation, EvalPath), CoreError> {
+    let refusal = replay_refusal(scheme, program);
+    let basis = basis.map(|basis| {
+        move || match refusal {
+            Some(refusal) => Err(refusal),
+            None => Ok(basis),
+        }
+    });
+    route_scheme(scheme, program, max_steps, basis, needs)
+}
+
+fn route_scheme<B: Borrow<ReplayBasis>>(
+    scheme: &mut dyn Encoder,
+    program: &Program,
+    max_steps: u64,
+    basis: Option<impl FnOnce() -> Result<B, CoreError>>,
+    needs: EvalNeeds,
+) -> Result<(SchemeEvaluation, EvalPath), CoreError> {
+    route(
+        scheme,
+        needs,
+        basis,
+        |scheme, basis| evaluate_scheme_replay_with(&**scheme, program, basis),
+        |scheme| evaluate_scheme_full(&mut **scheme, program, max_steps),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -1381,7 +1382,7 @@ pub fn composite_image(
 /// decode is lane-local given the PC-driven walker), Gray lanes ripple
 /// from the already-restored higher lane, baseline lanes pass through.
 ///
-/// Sound under the same precondition as [`evaluate_replay`]: every
+/// Sound under the same precondition as [`crate::eval::evaluate_replay`]: every
 /// dynamic entry into a scheduled block lands on its start PC, which
 /// the donor TT evaluation has already checked against the profile.
 ///
@@ -1453,7 +1454,7 @@ pub fn verify_composite_decode(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate_auto;
+    use crate::eval::{evaluate_auto, evaluate_replay, weighted_transitions, FullSimReason};
     use imt_isa::asm::assemble;
     use proptest::prelude::*;
 
@@ -1553,7 +1554,7 @@ mod tests {
         )
         .expect("direct eval succeeds");
         assert_eq!(path, EvalPath::Replay);
-        assert_eq!(via_trait, SchemeEvaluation::from_evaluation(&direct));
+        assert_eq!(via_trait, SchemeEvaluation::from_evaluation(direct));
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! (when the request carries a fault plan) fault-replay with fail-closed
 //! semantics. A panicking request is contained with `catch_unwind` and
 //! answered as [`ServeError::Panicked`]; its batch-mates are unaffected.
+//!
+//! The warm also builds the kernel's [`ProgramAnalysis`] and
+//! [`ReplayBasis`], and the warmed kernel keeps one [`PreparedCodec`] per
+//! codec setting it has served, so a request runs only the per-request
+//! stages: [`imt_core::pipeline::select`] and replay against the basis.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,8 +22,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use imt_core::eval::evaluate_auto;
-use imt_core::{encode_program, profile_cache};
+use std::collections::HashMap;
+use std::sync::Mutex;
+
+use imt_core::eval::{evaluate_auto_with, ReplayBasis};
+use imt_core::pipeline::select;
+use imt_core::scheme::{build_scheme, evaluate_scheme_auto_with, SchemeSpec};
+use imt_core::{
+    profile_cache, CodecSettings, CoreError, EncoderConfig, PreparedCodec, ProgramAnalysis,
+};
 use imt_fault::trace::{self, FetchTrace};
 use imt_isa::Program;
 use imt_kernels::KernelSpec;
@@ -29,13 +41,21 @@ use crate::queue::{Job, JobQueue, PushRefusal};
 use crate::quota::TenantQuotas;
 use crate::request::{Completed, FaultSummary, Request, Response, Slot, Ticket};
 use crate::shard::ShardedMap;
+use crate::sync::lock_clean;
 use crate::ServeError;
 
 /// Entries the result memo stops growing at. Real deployments see a
 /// bounded set of (spec, config, needs) keys — the cap only matters if
 /// a caller sweeps an unbounded parameter space, and then the memo
-/// degrades to a warm working set rather than evicting.
+/// degrades to a warm working set rather than evicting. Each request
+/// refused a slot is counted ([`StatsSnapshot::result_memo_full`]).
 const RESULT_MEMO_CAP: usize = 4096;
+
+/// Prepared codecs one warmed kernel keeps, one per codec setting (block
+/// size, transform set, overlap, chain strategy). A sweep over block
+/// sizes needs a handful; once full, a request prepares its codec without
+/// storing it, and is counted ([`StatsSnapshot::codec_memo_full`]).
+const CODEC_MEMO_CAP: usize = 32;
 
 /// What happens when a request arrives and the queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -196,6 +216,10 @@ struct ServiceStats {
     batched_jobs: AtomicU64,
     deadline_missed: AtomicU64,
     peak_depth: AtomicU64,
+    result_memo_full: AtomicU64,
+    codec_memo_hits: AtomicU64,
+    codec_memo_misses: AtomicU64,
+    codec_memo_full: AtomicU64,
 }
 
 /// A point-in-time copy of the service counters.
@@ -228,6 +252,17 @@ pub struct StatsSnapshot {
     pub deadline_missed: u64,
     /// Deepest the queue has been.
     pub peak_depth: u64,
+    /// Outcomes not memoized because the result memo was full (4096
+    /// entries).
+    pub result_memo_full: u64,
+    /// TT/BBIT requests whose codec setting was already prepared for
+    /// their kernel.
+    pub codec_memo_hits: u64,
+    /// TT/BBIT requests that prepared their codec setting afresh.
+    pub codec_memo_misses: u64,
+    /// Fresh codecs not kept because their kernel's codec memo was full
+    /// (32 codec settings).
+    pub codec_memo_full: u64,
 }
 
 impl StatsSnapshot {
@@ -241,12 +276,52 @@ impl StatsSnapshot {
 }
 
 /// One kernel's warmed execution context, shared by every request in
-/// every batch against that kernel.
+/// every batch against that kernel: the program, the encode and replay
+/// stages that depend on nothing else, and the codecs prepared so far.
 #[derive(Debug)]
 struct WarmProfile {
     program: Program,
-    per_index: Vec<u64>,
-    edges: FetchEdgeProfile,
+    /// The replay basis of the recorded profile; it also carries the
+    /// per-index counts the profile-guided schemes build from.
+    basis: ReplayBasis,
+    /// The encode analysis, or why the program has none (its TT/BBIT
+    /// requests fail with this error; the other schemes still serve).
+    analysis: Result<ProgramAnalysis, CoreError>,
+    /// Prepared codecs by setting, at most [`CODEC_MEMO_CAP`].
+    codecs: Mutex<HashMap<CodecSettings, Arc<PreparedCodec>>>,
+}
+
+impl WarmProfile {
+    /// The prepared codec for `config`'s setting: the kernel's memoized
+    /// one, or a fresh one, kept while the memo has room.
+    fn codec(
+        &self,
+        analysis: &ProgramAnalysis,
+        config: &EncoderConfig,
+        stats: &ServiceStats,
+    ) -> Result<Arc<PreparedCodec>, CoreError> {
+        let settings = CodecSettings::of(config);
+        if let Some(hit) = lock_clean(&self.codecs).get(&settings) {
+            stats.codec_memo_hits.fetch_add(1, Ordering::Relaxed);
+            if imt_obs::enabled() {
+                imt_obs::counter!("serve.codec_memo_hits").inc();
+            }
+            return Ok(Arc::clone(hit));
+        }
+        stats.codec_memo_misses.fetch_add(1, Ordering::Relaxed);
+        let fresh = Arc::new(PreparedCodec::new(analysis, settings)?);
+        let mut codecs = lock_clean(&self.codecs);
+        if codecs.len() < CODEC_MEMO_CAP || codecs.contains_key(&settings) {
+            // A racing request may have stored the setting first; every
+            // later request then shares that one.
+            return Ok(Arc::clone(codecs.entry(settings).or_insert(fresh)));
+        }
+        stats.codec_memo_full.fetch_add(1, Ordering::Relaxed);
+        if imt_obs::enabled() {
+            imt_obs::counter!("serve.codec_memo_full").inc();
+        }
+        Ok(fresh)
+    }
 }
 
 #[derive(Debug)]
@@ -415,6 +490,17 @@ impl Service {
         self.inner.results.len()
     }
 
+    /// Prepared codecs held across every warmed kernel's codec memo.
+    pub fn codec_memo_entries(&self) -> usize {
+        self.inner
+            .profiles
+            .values()
+            .iter()
+            .filter_map(|warmed| warmed.as_ref().as_ref().ok())
+            .map(|warm| lock_clean(&warm.codecs).len())
+            .sum()
+    }
+
     /// A copy of the service counters.
     pub fn stats(&self) -> StatsSnapshot {
         let s = &self.inner.stats;
@@ -432,6 +518,10 @@ impl Service {
             batched_jobs: s.batched_jobs.load(Ordering::Relaxed),
             deadline_missed: s.deadline_missed.load(Ordering::Relaxed),
             peak_depth: s.peak_depth.load(Ordering::Relaxed),
+            result_memo_full: s.result_memo_full.load(Ordering::Relaxed),
+            codec_memo_hits: s.codec_memo_hits.load(Ordering::Relaxed),
+            codec_memo_misses: s.codec_memo_misses.load(Ordering::Relaxed),
+            codec_memo_full: s.codec_memo_full.load(Ordering::Relaxed),
         }
     }
 
@@ -545,9 +635,10 @@ impl ServiceInner {
 }
 
 /// Records (or loads from the on-disk cache) one kernel's fetch-edge
-/// profile and checks its output against the golden model. The service's
-/// fallible counterpart to `imt_bench::kernel_profile`, which panics
-/// instead — a server refuses the job, it does not die.
+/// profile, checks its output against the golden model, and builds the
+/// kernel's replay basis and encode analysis. The service's fallible
+/// counterpart to `imt_bench::kernel_profile`, which panics instead — a
+/// server refuses the job, it does not die.
 fn warm_uncached(spec: &KernelSpec) -> Result<WarmProfile, ServeError> {
     let program = spec.assemble();
     let caching = profile_cache::enabled();
@@ -579,10 +670,15 @@ fn warm_uncached(spec: &KernelSpec) -> Result<WarmProfile, ServeError> {
             recorded
         }
     };
+    let basis = ReplayBasis::new(&program, &edges).map_err(|e| ServeError::ProfileFailed {
+        kernel: spec.name.clone(),
+        detail: e.to_string(),
+    })?;
     Ok(WarmProfile {
-        per_index: edges.per_index_counts(),
+        analysis: ProgramAnalysis::new(&program, basis.per_index()),
+        basis,
         program,
-        edges,
+        codecs: Mutex::new(HashMap::new()),
     })
 }
 
@@ -698,24 +794,30 @@ fn serve_job(
                     (*hit).clone()
                 }
                 None => {
-                    let computed =
-                        match catch_unwind(AssertUnwindSafe(|| execute(warm, &job.request))) {
-                            Ok(result) => result,
-                            Err(payload) => Err(ServeError::Panicked {
-                                detail: panic_detail(payload.as_ref()),
-                            }),
-                        };
+                    let computed = match catch_unwind(AssertUnwindSafe(|| {
+                        execute(warm, &job.request, &inner.stats)
+                    })) {
+                        Ok(result) => result,
+                        Err(payload) => Err(ServeError::Panicked {
+                            detail: panic_detail(payload.as_ref()),
+                        }),
+                    };
                     match memo_key {
                         // Don't memoize panics (the one nondeterministic
                         // outcome) or grow past the cap; everything else
                         // — success or typed failure — is deterministic
                         // and serves every repeat. `insert_first` keeps
                         // the canonical value if two workers raced.
-                        Some(key)
-                            if !matches!(computed, Err(ServeError::Panicked { .. }))
-                                && inner.results.len() < RESULT_MEMO_CAP =>
-                        {
-                            (*inner.results.insert_first(&key, Arc::new(computed))).clone()
+                        Some(key) if !matches!(computed, Err(ServeError::Panicked { .. })) => {
+                            if inner.results.len() < RESULT_MEMO_CAP {
+                                (*inner.results.insert_first(&key, Arc::new(computed))).clone()
+                            } else {
+                                inner.stats.result_memo_full.fetch_add(1, Ordering::Relaxed);
+                                if imt_obs::enabled() {
+                                    imt_obs::counter!("serve.result_memo_full").inc();
+                                }
+                                computed
+                            }
                         }
                         _ => computed,
                     }
@@ -788,33 +890,40 @@ fn serve_job(
     imt_obs::trace::close_root("serve.request", job.trace, job.submitted_ns);
 }
 
-/// One request's actual work, given its kernel's warmed profile. Pure
-/// with respect to the service: everything it needs is in its arguments,
-/// and its only effect is the returned outcome.
-fn execute(warm: &WarmProfile, request: &Request) -> Result<Completed, ServeError> {
+/// One request's actual work, given its kernel's warmed profile: select
+/// and replay, plus the codec preparation the first request per codec
+/// setting pays. Its only effects are the returned outcome and the codec
+/// memo (with its counters in `stats`).
+fn execute(
+    warm: &WarmProfile,
+    request: &Request,
+    stats: &ServiceStats,
+) -> Result<Completed, ServeError> {
     if request.panic_in_worker {
         panic!("poisoned job (panic_in_worker test hook)");
     }
     // Non-default schemes route through the arena's trait surface; the
     // TT/BBIT default continues below on the original pipeline, byte
     // for byte.
-    if request.scheme != imt_core::scheme::SchemeSpec::TtBbit {
+    if request.scheme != SchemeSpec::TtBbit {
         return execute_scheme(warm, request);
     }
     let encode_started = Instant::now();
     let encoded = {
         let _span = imt_obs::span!("serve.encode");
-        encode_program(&warm.program, &warm.per_index, &request.config)?
+        let analysis = warm.analysis.as_ref().map_err(Clone::clone)?;
+        let codec = warm.codec(analysis, &request.config, stats)?;
+        select(analysis, &codec, &request.config)?
     };
     let encode_ns = encode_started.elapsed().as_nanos() as u64;
     let eval_started = Instant::now();
     let (evaluation, path) = {
         let _span = imt_obs::span!("serve.eval");
-        evaluate_auto(
+        evaluate_auto_with(
             &warm.program,
             &encoded,
             request.spec.max_steps,
-            Some(&warm.edges),
+            Some(&warm.basis),
             request.needs,
         )?
     };
@@ -878,10 +987,10 @@ fn execute_scheme(warm: &WarmProfile, request: &Request) -> Result<Completed, Se
     let encode_started = Instant::now();
     let mut scheme = {
         let _span = imt_obs::span!("serve.encode");
-        imt_core::scheme::build_scheme(
+        build_scheme(
             request.scheme,
             &warm.program,
-            &warm.per_index,
+            warm.basis.per_index(),
             &request.config,
         )?
     };
@@ -889,11 +998,11 @@ fn execute_scheme(warm: &WarmProfile, request: &Request) -> Result<Completed, Se
     let eval_started = Instant::now();
     let (evaluation, path) = {
         let _span = imt_obs::span!("serve.eval");
-        imt_core::scheme::evaluate_scheme_auto(
+        evaluate_scheme_auto_with(
             scheme.as_mut(),
             &warm.program,
             request.spec.max_steps,
-            Some(&warm.edges),
+            Some(&warm.basis),
             request.needs,
         )?
     };
@@ -912,8 +1021,8 @@ fn execute_scheme(warm: &WarmProfile, request: &Request) -> Result<Completed, Se
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imt_core::eval::{EvalNeeds, EvalPath};
-    use imt_core::EncoderConfig;
+    use imt_core::encode_program;
+    use imt_core::eval::{evaluate_auto, EvalNeeds, EvalPath};
     use imt_kernels::Kernel;
 
     fn request(kernel: Kernel) -> Request {
@@ -1387,6 +1496,150 @@ mod tests {
             other => panic!("expected Poisoned, got {other:?}"),
         }
         assert_eq!(service.stats().poisoned, 1);
+        service.shutdown();
+    }
+
+    /// Serves `configs` (Tri, test scale) in order, waiting for each
+    /// answer.
+    fn serve_all(service: &Service, configs: &[EncoderConfig]) -> Vec<Completed> {
+        configs
+            .iter()
+            .map(|config| {
+                service
+                    .submit(Request::new(Kernel::Tri.test_spec(), *config))
+                    .expect("accepted")
+                    .wait()
+                    .outcome
+                    .expect("tri serves")
+            })
+            .collect()
+    }
+
+    /// The one-shot pipeline's answer for `config` on Tri.
+    fn reference_for(
+        program: &Program,
+        edges: &FetchEdgeProfile,
+        config: &EncoderConfig,
+    ) -> Completed {
+        let spec = Kernel::Tri.test_spec();
+        let encoded = encode_program(program, &edges.per_index_counts(), config)
+            .expect("reference encode succeeds");
+        let (evaluation, path) = evaluate_auto(
+            program,
+            &encoded,
+            spec.max_steps,
+            Some(edges),
+            EvalNeeds::transitions_only(),
+        )
+        .expect("reference evaluation succeeds");
+        Completed {
+            evaluation,
+            path,
+            encoded_blocks: encoded.report.encoded.len(),
+            fault: None,
+        }
+    }
+
+    /// More codec settings than the codec memo holds: every answer equals
+    /// the one-shot pipeline's, the memo keeps the first
+    /// [`CODEC_MEMO_CAP`] settings, and each fresh setting past it is
+    /// counted.
+    #[test]
+    fn codec_memo_stops_at_its_cap_and_counts_refusals() {
+        use imt_bitcode::block::OverlapHistory;
+        use imt_bitcode::stream::ChainStrategy;
+        use imt_bitcode::TransformSet;
+        let mut configs = Vec::new();
+        for transforms in [TransformSet::CANONICAL_EIGHT, TransformSet::ALL_SIXTEEN] {
+            for overlap in [OverlapHistory::Stored, OverlapHistory::Decoded] {
+                for strategy in [ChainStrategy::Greedy, ChainStrategy::Optimal] {
+                    for k in 2..=7 {
+                        let config = EncoderConfig::default()
+                            .with_block_size(k)
+                            .and_then(|c| c.with_transforms(transforms))
+                            .expect("valid settings")
+                            .with_overlap(overlap)
+                            .with_strategy(strategy);
+                        configs.push(config);
+                    }
+                }
+            }
+        }
+        let settings = configs.len();
+        assert!(settings > CODEC_MEMO_CAP);
+        let service = Service::start(
+            ServiceConfig::default()
+                .with_workers(1)
+                .with_result_memo(false),
+        );
+        let answers = serve_all(&service, &configs);
+        let stats = service.stats();
+        assert_eq!(stats.codec_memo_misses, settings as u64);
+        assert_eq!(stats.codec_memo_full, (settings - CODEC_MEMO_CAP) as u64);
+        assert_eq!(service.codec_memo_entries(), CODEC_MEMO_CAP);
+
+        // The stored settings are hits; the ones past the cap prepare
+        // again, and every answer stays the one-shot pipeline's.
+        let again = serve_all(&service, &configs);
+        assert_eq!(again, answers);
+        let stats = service.stats();
+        assert_eq!(stats.codec_memo_hits, CODEC_MEMO_CAP as u64);
+        assert_eq!(
+            stats.codec_memo_full,
+            2 * (settings - CODEC_MEMO_CAP) as u64
+        );
+        assert_eq!(service.codec_memo_entries(), CODEC_MEMO_CAP);
+        let spec = Kernel::Tri.test_spec();
+        let program = spec.assemble();
+        let edges = FetchEdgeProfile::record(&program, spec.max_steps).expect("tri records");
+        for (config, answer) in configs.iter().zip(&answers) {
+            assert_eq!(
+                *answer,
+                reference_for(&program, &edges, config),
+                "{config:?}"
+            );
+        }
+        service.shutdown();
+    }
+
+    /// More distinct requests than the result memo holds: the memo stops
+    /// at [`RESULT_MEMO_CAP`], each outcome refused a slot is counted, and
+    /// answers past the cap stay right.
+    #[test]
+    fn result_memo_stops_at_its_cap_and_counts_refusals() {
+        let configs: Vec<EncoderConfig> = (0..=64)
+            .flat_map(|tt| (0..=64).map(move |bbit| (tt, bbit)))
+            .take(RESULT_MEMO_CAP + 8)
+            .map(|(tt, bbit)| {
+                EncoderConfig::default()
+                    .with_tt_capacity(tt)
+                    .with_bbit_capacity(bbit)
+            })
+            .collect();
+        let service = Service::start(ServiceConfig::default().with_workers(2));
+        let answers = serve_all(&service, &configs);
+        assert_eq!(service.result_memo_entries(), RESULT_MEMO_CAP);
+        assert_eq!(service.stats().result_memo_full, 8);
+        // Past the cap a repeat re-executes and is refused a slot again.
+        let tail = &configs[RESULT_MEMO_CAP..];
+        assert_eq!(serve_all(&service, tail), answers[RESULT_MEMO_CAP..]);
+        assert_eq!(service.result_memo_entries(), RESULT_MEMO_CAP);
+        assert_eq!(service.stats().result_memo_full, 16);
+        let spec = Kernel::Tri.test_spec();
+        let program = spec.assemble();
+        let edges = FetchEdgeProfile::record(&program, spec.max_steps).expect("tri records");
+        for (config, answer) in configs
+            .iter()
+            .zip(&answers)
+            .step_by(97)
+            .chain(tail.iter().zip(&answers[RESULT_MEMO_CAP..]))
+        {
+            assert_eq!(
+                *answer,
+                reference_for(&program, &edges, config),
+                "{config:?}"
+            );
+        }
         service.shutdown();
     }
 }

@@ -88,6 +88,14 @@ impl<V: Clone> ShardedMap<V> {
     pub(crate) fn len(&self) -> usize {
         self.shards.iter().map(|s| lock_clean(s).len()).sum()
     }
+
+    /// Clones of every value, shard by shard (diagnostic, like `len`).
+    pub(crate) fn values(&self) -> Vec<V> {
+        self.shards
+            .iter()
+            .flat_map(|s| lock_clean(s).values().cloned().collect::<Vec<_>>())
+            .collect()
+    }
 }
 
 #[cfg(test)]
