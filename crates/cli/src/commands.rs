@@ -1559,6 +1559,12 @@ fn serve_listen(
     .expect("write to String");
     writeln!(
         out,
+        "  admission: submitted = {}, admission hits = {} (memo hits, never queued)",
+        stats.submitted, stats.admission_hits
+    )
+    .expect("write to String");
+    writeln!(
+        out,
         "  wire: bad requests = {}, protocol errors = {}, read timeouts = {}",
         net.bad_requests, net.protocol_errors, net.read_timeouts
     )
@@ -2229,6 +2235,10 @@ loop:   xor $t1, $t1, $t0\n\
         let summary = server.join().unwrap().unwrap();
         assert!(summary.contains("served 1 request(s)"), "{summary}");
         assert!(summary.contains("completed = 1, failed = 0"), "{summary}");
+        assert!(
+            summary.contains("submitted = 1, admission hits = 0"),
+            "{summary}"
+        );
         std::fs::remove_file(&sock).ok();
     }
 

@@ -338,9 +338,11 @@ struct BlockSpan {
 /// is documented in DESIGN.md: cold basic blocks get no BBIT entry and
 /// pass through untouched, instead of sharing a single identity TT entry.
 ///
-/// The decoder owns a bit-level copy of both tables (they are a few
-/// hundred bits; cloning is free at this scale), so a fault injector can
-/// flip stored bits mid-run without aliasing the caller's schedule.
+/// The decoder owns a copy of both tables, so a fault injector can flip
+/// stored bits mid-run without aliasing the caller's schedule; their
+/// bit-level code words are packed only when the first upset is injected
+/// (a fault-free decoder, such as replay's decode proof, never packs
+/// them).
 /// Detected faults quarantine the affected blocks: their fetches come
 /// back [`FetchKind::Degraded`] and every decision is recorded as a
 /// [`FaultEvent`] retrievable with [`FetchDecoder::take_events`].
@@ -1158,6 +1160,80 @@ mod tests {
                 by_run.on_fetch_classified(pc, word),
                 by_fetch.on_fetch_classified(pc, word)
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Code words packed at the first upset decode exactly like code
+        /// words packed up front: on random schedules, under every
+        /// protection, one TT or BBIT flip at a random fetch gives the same
+        /// restored words, fetch kinds, events, counters and degraded
+        /// ranges as on a decoder whose store a clean scrub packed before
+        /// the run. With `open_tail` the last entry's `E` bit is clear, so
+        /// a walker crossing the table end can quarantine a BBIT entry
+        /// before anything is packed.
+        #[test]
+        fn tables_packed_at_the_first_upset_match_tables_packed_up_front(
+            lanes in 1usize..=32,
+            k in 2usize..=8,
+            open_tail in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let set = TransformSet::CANONICAL_EIGHT;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut tt, bbit) = random_schedule(&mut rng, lanes, k, set);
+            if open_tail {
+                let mut entries = tt.entries().to_vec();
+                entries.last_mut().expect("a schedule has entries").end = false;
+                tt = TransformationTable { entries };
+            }
+            for protection in Protection::ALL {
+                let build = || {
+                    FetchDecoder::with_protection(
+                        &tt, &bbit, lanes, k, OverlapHistory::Stored, set, protection,
+                    )
+                    .unwrap()
+                };
+                let (mut lazy, mut packed) = (build(), build());
+                prop_assert!(packed.tables.scrub().is_empty(), "{} clean scrub", protection);
+                let fetches = rng.gen_range(1usize..200);
+                let flip_at = rng.gen_range(0..fetches);
+                let tt_target = rng.gen::<bool>();
+                let (entry, bit) = if tt_target {
+                    (rng.gen_range(0..tt.len()), rng.gen_range(0..lazy.tables().tt_stored_bits()))
+                } else {
+                    (rng.gen_range(0..bbit.len()), rng.gen_range(0..lazy.tables().bbit_stored_bits()))
+                };
+                let mut pc = 0x0040_0000u32;
+                for step in 0..fetches {
+                    if step == flip_at {
+                        for decoder in [&mut lazy, &mut packed] {
+                            if tt_target {
+                                decoder.inject_tt_bit(entry, bit).unwrap();
+                            } else {
+                                decoder.inject_bbit_bit(entry, bit).unwrap();
+                            }
+                        }
+                    }
+                    if rng.gen_range(0u32..100) < 15 {
+                        pc = 0x0040_0000 + 0x100 * rng.gen_range(0..bbit.len() as u32);
+                    }
+                    let stored = rng.gen::<u32>();
+                    prop_assert_eq!(
+                        lazy.on_fetch_classified(pc, stored),
+                        packed.on_fetch_classified(pc, stored),
+                        "{} step {} pc {:#x}", protection, step, pc
+                    );
+                    pc = pc.wrapping_add(4);
+                }
+                prop_assert_eq!(lazy.take_events(), packed.take_events());
+                prop_assert_eq!(lazy.degraded_ranges(), packed.degraded_ranges());
+                prop_assert_eq!(lazy.decoded_fetches(), packed.decoded_fetches());
+                prop_assert_eq!(lazy.passthrough_fetches(), packed.passthrough_fetches());
+                prop_assert_eq!(lazy.degraded_fetches(), packed.degraded_fetches());
+            }
         }
     }
 

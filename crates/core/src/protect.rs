@@ -13,10 +13,11 @@
 //!   same accounting [`crate::hardware::HardwareBudget`] charges;
 //! * [`Protection`] selects the per-entry check code: none, even parity
 //!   (detect-only), or a single-error-correcting Hamming code;
-//! * [`ProtectedTables`] stores each entry as its raw code word, lets a
-//!   fault injector flip arbitrary stored bits, and — on a scrub pass —
-//!   verifies, corrects, or quarantines entries, reporting every decision
-//!   as a typed [`FaultEvent`].
+//! * [`ProtectedTables`] stores each entry as its raw code word (packed
+//!   from the clean entries when the first fault lands or the first scrub
+//!   runs), lets a fault injector flip arbitrary stored bits, and — on a
+//!   scrub pass — verifies, corrects, or quarantines entries, reporting
+//!   every decision as a typed [`FaultEvent`].
 //!
 //! Structural validation is independent of the check code: a selector
 //! index outside the transformation set, a `CT` value of zero or above the
@@ -194,23 +195,29 @@ impl EntryLayout {
         self.block_size
     }
 
+    /// Whether `entry` can exist in this hardware configuration: one
+    /// selector per lane, every lane's transform in the set, and `CT` in
+    /// `1..=k`.
+    fn fits_tt(&self, entry: &TtEntry) -> bool {
+        entry.lane_transforms.len() == self.lanes
+            && (1..=self.block_size).contains(&entry.covers)
+            && entry
+                .lane_transforms
+                .iter()
+                .all(|t| self.selectors[usize::from(t.table())] != NO_SELECTOR)
+    }
+
     /// Serializes a TT entry, LSB-first per field, selector lanes first.
     ///
-    /// Returns `None` if a lane's transform is outside the layout's set —
-    /// such an entry cannot exist in this hardware configuration.
+    /// Returns `None` if the entry does not fit the layout
+    /// ([`EntryLayout::fits_tt`]).
     fn pack_tt(&self, entry: &TtEntry) -> Option<Vec<bool>> {
-        if entry.lane_transforms.len() != self.lanes {
-            return None;
-        }
-        if entry.covers == 0 || entry.covers > self.block_size {
+        if !self.fits_tt(entry) {
             return None;
         }
         let mut bits = Vec::with_capacity(self.tt_data_bits());
         for transform in &entry.lane_transforms {
             let selector = self.selectors[usize::from(transform.table())];
-            if selector == NO_SELECTOR {
-                return None;
-            }
             push_field(&mut bits, usize::from(selector), self.control_bits);
         }
         bits.push(entry.end);
@@ -404,28 +411,70 @@ impl TtView {
     }
 }
 
+/// The stored code words of both tables, one per entry.
+#[derive(Debug, Clone)]
+struct CodeWords {
+    tt: Vec<Vec<bool>>,
+    bbit: Vec<Vec<bool>>,
+}
+
+impl CodeWords {
+    /// Packs the clean tables from their views, which are still clean:
+    /// only a scrub or a quarantine clears a view, and both pack first.
+    fn pack(
+        protection: Protection,
+        layout: &EntryLayout,
+        tt_view: &[Option<TtView>],
+        bbit_view: &[Option<BbitEntry>],
+    ) -> CodeWords {
+        let tt = tt_view
+            .iter()
+            .map(|view| {
+                let entry = &view
+                    .as_ref()
+                    .expect("TT views are clean until packed")
+                    .entry;
+                let data = layout
+                    .pack_tt(entry)
+                    .expect("ProtectedTables::new checked the fit");
+                encode_word(protection, data)
+            })
+            .collect();
+        let bbit = bbit_view
+            .iter()
+            .map(|view| {
+                let entry = view.as_ref().expect("BBIT views are clean until packed");
+                encode_word(protection, layout.pack_bbit(entry))
+            })
+            .collect();
+        CodeWords { tt, bbit }
+    }
+}
+
 /// The TT and BBIT as protected SRAM: every entry stored as its raw code
 /// word, with materialized decoded views refreshed by [`scrub`].
 ///
 /// The decoded views are what the fetch decoder reads each cycle, so the
 /// clean-path decode cost is unchanged; the bit-level store only matters
 /// when a fault injector flips something, which marks the array dirty and
-/// forces a scrub before the next fetch.
+/// forces a scrub before the next fetch. So the code words are packed
+/// from the clean entries only when the first flip lands or the first
+/// scrub runs: a decoder that never meets a fault never packs them.
 ///
 /// [`scrub`]: ProtectedTables::scrub
 #[derive(Debug, Clone)]
 pub struct ProtectedTables {
     protection: Protection,
     layout: EntryLayout,
-    tt_code: Vec<Vec<bool>>,
-    bbit_code: Vec<Vec<bool>>,
+    /// `None` until the first flip or scrub packs them.
+    code: Option<CodeWords>,
     tt_view: Vec<Option<TtView>>,
     bbit_view: Vec<Option<BbitEntry>>,
     dirty: bool,
 }
 
 impl ProtectedTables {
-    /// Packs `tt` and `bbit` into protected storage.
+    /// Places `tt` and `bbit` into protected storage.
     ///
     /// # Errors
     ///
@@ -438,30 +487,31 @@ impl ProtectedTables {
         layout: EntryLayout,
         protection: Protection,
     ) -> Result<Self, CoreError> {
-        let mut tt_code = Vec::with_capacity(tt.len());
-        let mut tt_view = Vec::with_capacity(tt.len());
-        for entry in tt.entries() {
-            let data = layout.pack_tt(entry).ok_or(CoreError::TableImage {
+        if !tt.entries().iter().all(|entry| layout.fits_tt(entry)) {
+            return Err(CoreError::TableImage {
                 detail: "TT entry does not fit the protection layout's transform set",
-            })?;
-            tt_code.push(encode_word(protection, data));
-            tt_view.push(Some(TtView::new(entry.clone())));
-        }
-        let mut bbit_code = Vec::with_capacity(bbit.len());
-        let mut bbit_view = Vec::with_capacity(bbit.len());
-        for entry in bbit.entries() {
-            bbit_code.push(encode_word(protection, layout.pack_bbit(entry)));
-            bbit_view.push(Some(*entry));
+            });
         }
         Ok(ProtectedTables {
             protection,
             layout,
-            tt_code,
-            bbit_code,
-            tt_view,
-            bbit_view,
+            code: None,
+            tt_view: tt
+                .entries()
+                .iter()
+                .map(|entry| Some(TtView::new(entry.clone())))
+                .collect(),
+            bbit_view: bbit.entries().iter().copied().map(Some).collect(),
             dirty: false,
         })
+    }
+
+    /// The stored code words, packed on first use.
+    fn code_words(&mut self) -> &mut CodeWords {
+        let (protection, layout) = (self.protection, &self.layout);
+        let (tt_view, bbit_view) = (&self.tt_view, &self.bbit_view);
+        self.code
+            .get_or_insert_with(|| CodeWords::pack(protection, layout, tt_view, bbit_view))
     }
 
     /// The configured check code.
@@ -476,12 +526,12 @@ impl ProtectedTables {
 
     /// TT entries stored (quarantined ones included).
     pub fn tt_len(&self) -> usize {
-        self.tt_code.len()
+        self.tt_view.len()
     }
 
     /// BBIT entries stored (quarantined ones included).
     pub fn bbit_len(&self) -> usize {
-        self.bbit_code.len()
+        self.bbit_view.len()
     }
 
     /// Stored bits per TT entry, check bits included — the injectable
@@ -507,9 +557,13 @@ impl ProtectedTables {
     ///
     /// [`CoreError::TableImage`] if `entry` or `bit` is out of range.
     pub fn flip_tt_bit(&mut self, entry: usize, bit: usize) -> Result<(), CoreError> {
-        let word = self.tt_code.get_mut(entry).ok_or(CoreError::TableImage {
-            detail: "TT fault target entry out of range",
-        })?;
+        let word = self
+            .code_words()
+            .tt
+            .get_mut(entry)
+            .ok_or(CoreError::TableImage {
+                detail: "TT fault target entry out of range",
+            })?;
         let slot = word.get_mut(bit).ok_or(CoreError::TableImage {
             detail: "TT fault target bit out of range",
         })?;
@@ -525,9 +579,13 @@ impl ProtectedTables {
     ///
     /// [`CoreError::TableImage`] if `entry` or `bit` is out of range.
     pub fn flip_bbit_bit(&mut self, entry: usize, bit: usize) -> Result<(), CoreError> {
-        let word = self.bbit_code.get_mut(entry).ok_or(CoreError::TableImage {
-            detail: "BBIT fault target entry out of range",
-        })?;
+        let word = self
+            .code_words()
+            .bbit
+            .get_mut(entry)
+            .ok_or(CoreError::TableImage {
+                detail: "BBIT fault target entry out of range",
+            })?;
         let slot = word.get_mut(bit).ok_or(CoreError::TableImage {
             detail: "BBIT fault target bit out of range",
         })?;
@@ -545,19 +603,20 @@ impl ProtectedTables {
     /// resurrects an entry (the fault controller has no way to know the
     /// damage was transient).
     pub fn scrub(&mut self) -> Vec<FaultEvent> {
+        let (protection, layout) = (self.protection, &self.layout);
+        let (tt_view, bbit_view) = (&mut self.tt_view, &mut self.bbit_view);
+        let code = self
+            .code
+            .get_or_insert_with(|| CodeWords::pack(protection, layout, tt_view, bbit_view));
         let mut events = Vec::new();
-        for index in 0..self.tt_code.len() {
-            if self.tt_view[index].is_none() {
+        for (index, word) in code.tt.iter_mut().enumerate() {
+            if tt_view[index].is_none() {
                 continue;
             }
-            let (data, verdict) = decode_word(
-                self.protection,
-                &mut self.tt_code[index],
-                self.layout.tt_data_bits(),
-            );
+            let (data, verdict) = decode_word(protection, word, layout.tt_data_bits());
             match verdict {
                 Some(FaultOutcome::Detected) => {
-                    self.tt_view[index] = None;
+                    tt_view[index] = None;
                     events.push(FaultEvent {
                         table: TableKind::Tt,
                         index,
@@ -572,10 +631,10 @@ impl ProtectedTables {
                 }),
                 None => {}
             }
-            match self.layout.unpack_tt(&data) {
-                Ok(entry) => self.tt_view[index] = Some(TtView::new(entry)),
+            match layout.unpack_tt(&data) {
+                Ok(entry) => tt_view[index] = Some(TtView::new(entry)),
                 Err(outcome) => {
-                    self.tt_view[index] = None;
+                    tt_view[index] = None;
                     events.push(FaultEvent {
                         table: TableKind::Tt,
                         index,
@@ -584,18 +643,14 @@ impl ProtectedTables {
                 }
             }
         }
-        for index in 0..self.bbit_code.len() {
-            if self.bbit_view[index].is_none() {
+        for (index, word) in code.bbit.iter_mut().enumerate() {
+            if bbit_view[index].is_none() {
                 continue;
             }
-            let (data, verdict) = decode_word(
-                self.protection,
-                &mut self.bbit_code[index],
-                self.layout.bbit_data_bits(),
-            );
+            let (data, verdict) = decode_word(protection, word, layout.bbit_data_bits());
             match verdict {
                 Some(FaultOutcome::Detected) => {
-                    self.bbit_view[index] = None;
+                    bbit_view[index] = None;
                     events.push(FaultEvent {
                         table: TableKind::Bbit,
                         index,
@@ -610,10 +665,10 @@ impl ProtectedTables {
                 }),
                 None => {}
             }
-            match self.layout.unpack_bbit(&data) {
-                Ok(entry) => self.bbit_view[index] = Some(entry),
+            match layout.unpack_bbit(&data) {
+                Ok(entry) => bbit_view[index] = Some(entry),
                 Err(outcome) => {
-                    self.bbit_view[index] = None;
+                    bbit_view[index] = None;
                     events.push(FaultEvent {
                         table: TableKind::Bbit,
                         index,
@@ -629,8 +684,11 @@ impl ProtectedTables {
     /// Disables BBIT entry `index` (its block falls back to the recovery
     /// path).
     pub fn quarantine_bbit(&mut self, index: usize) {
-        if let Some(slot) = self.bbit_view.get_mut(index) {
-            *slot = None;
+        if index < self.bbit_view.len() {
+            // The code words are packed from the views, so pack before
+            // this one goes.
+            self.code_words();
+            self.bbit_view[index] = None;
         }
     }
 

@@ -19,6 +19,9 @@
 //!   [`imt_serve::Ticket::on_ready`]; the worker's fulfill encodes the
 //!   response frame and hands it to the owning reactor through a
 //!   completion queue + eventfd wake. No thread ever blocks on a ticket.
+//!   A request the service answers at admission (a result-memo hit) needs
+//!   no callback: its ticket is ready when `submit` returns, and the
+//!   reactor queues the response in the same wake.
 //! * **Backpressure is typed, never blocking.** The service should run
 //!   [`imt_serve::service::Admission::Reject`] under a reactor: a full
 //!   queue yields a typed `Overloaded` refusal written back on the
@@ -415,6 +418,13 @@ impl ConnState {
         self.pending_write.len() - self.write_pos
     }
 
+    /// Whether the connection is at either backpressure cap: too many
+    /// requests in flight or too many unflushed response bytes. Its
+    /// frames stay buffered and its reads pause until it drops below.
+    fn saturated(&self, config: &ReactorConfig) -> bool {
+        self.in_flight >= config.max_in_flight || self.pending_bytes() >= config.max_pending_write
+    }
+
     /// Appends an encoded frame to the pending-write queue, compacting
     /// the flushed prefix first so the buffer reuses its capacity.
     fn queue_bytes(&mut self, bytes: &[u8]) {
@@ -745,7 +755,26 @@ fn reactor_loop(
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
-            if conn.pending_bytes() > 0 && conn.flush().is_err() {
+            // Frames a backpressure stop left buffered resume once it
+            // lifts: the peer may have nothing more to send, so no read
+            // event would bring them back. Drain and flush until the
+            // socket pushes back or no whole frame is left.
+            let dead = loop {
+                if conn.decoder.buffered() > 0 && !conn.saturated(&config) {
+                    let read_start = imt_obs::trace_enabled().then(imt_obs::trace::now_ns);
+                    if drain_frames(conn, &service, &config, &stats, &mailbox, token, read_start) {
+                        break true;
+                    }
+                }
+                let capped = conn.saturated(&config);
+                if conn.pending_bytes() > 0 && conn.flush().is_err() {
+                    break true;
+                }
+                if !capped || conn.saturated(&config) {
+                    break false;
+                }
+            };
+            if dead {
                 close_conn(&poller, &mut conns, token);
                 continue;
             }
@@ -753,13 +782,11 @@ fn reactor_loop(
                 close_conn(&poller, &mut conns, token);
                 continue;
             }
-            let paused = conn.in_flight >= config.max_in_flight
-                || conn.pending_bytes() >= config.max_pending_write;
             // A half-closed peer gets no read interest at all (its EOF
             // was already consumed); re-arming EPOLLRDHUP would just
             // storm events while its responses drain.
             let mut want = if conn.peer_closed { 0 } else { sys::EPOLLRDHUP };
-            if !paused && !conn.peer_closed {
+            if !conn.saturated(&config) && !conn.peer_closed {
                 want |= sys::EPOLLIN;
             }
             if conn.pending_bytes() > 0 {
@@ -768,6 +795,11 @@ fn reactor_loop(
             if want != conn.interest {
                 let fd = conn.sock.fd();
                 if poller.modify(fd, want, token).is_ok() {
+                    if want & !conn.interest & sys::EPOLLIN != 0 {
+                        // Reads resume: the stall clock restarts, since
+                        // the pause was the server's, not the peer's.
+                        conn.last_progress = Instant::now();
+                    }
                     conn.interest = want;
                 } else {
                     close_conn(&poller, &mut conns, token);
@@ -777,13 +809,16 @@ fn reactor_loop(
 
         // Slow-loris sweep: a connection parked mid-frame past the
         // read timeout is disconnected. Idle frame-boundary
-        // connections are fine — persistence is the feature.
+        // connections are fine — persistence is the feature — and so
+        // are connections whose reads backpressure paused.
         if last_sweep.elapsed() >= sweep_every {
             last_sweep = Instant::now();
             let stalled: Vec<u64> = conns
                 .iter()
                 .filter(|(_, c)| {
-                    c.decoder.mid_frame() && c.last_progress.elapsed() > config.read_timeout
+                    c.interest & sys::EPOLLIN != 0
+                        && c.decoder.mid_frame()
+                        && c.last_progress.elapsed() > config.read_timeout
                 })
                 .map(|(&t, _)| t)
                 .collect();
@@ -824,11 +859,9 @@ fn handle_readable(
         if drain_frames(conn, service, config, stats, mailbox, token, read_start) {
             return true;
         }
-        if conn.in_flight >= config.max_in_flight
-            || conn.pending_bytes() >= config.max_pending_write
-        {
+        if conn.saturated(config) {
             // Backpressure: stop reading; the interest pass pauses
-            // EPOLLIN and completions resume it.
+            // EPOLLIN, and completions or flushes resume it.
             return false;
         }
         match conn.decoder.fill_from(&mut conn.sock) {
@@ -854,8 +887,9 @@ fn handle_readable(
 }
 
 /// Drains every complete frame currently buffered on `conn`, submitting
-/// requests and queueing refusals. Returns `true` when the connection
-/// must be closed.
+/// requests and queueing refusals and the responses answered at
+/// admission, until the connection saturates. Returns `true` when the
+/// connection must be closed.
 #[allow(clippy::too_many_arguments)]
 fn drain_frames(
     conn: &mut ConnState,
@@ -867,9 +901,9 @@ fn drain_frames(
     read_start: Option<u64>,
 ) -> bool {
     loop {
-        if conn.in_flight >= config.max_in_flight {
-            // Leave the rest buffered; the interest pass pauses reads
-            // and completions resume them.
+        if conn.saturated(config) {
+            // Leave the rest buffered; the interest pass pauses reads,
+            // and completions or flushes resume them.
             return false;
         }
         let view = match conn.decoder.next_frame() {
@@ -932,9 +966,28 @@ fn drain_frames(
             }
         };
         stats.requests.fetch_add(1, Ordering::Relaxed);
-        let kernel_name = request.spec.name.clone();
+        let spec = Arc::clone(&request.spec);
         match service.submit(request) {
             Ok(ticket) => {
+                // Answered at admission (a result-memo hit): the frame
+                // joins this wake's write, with no worker, mailbox or
+                // eventfd wake.
+                if let Some(response) = ticket.try_take() {
+                    let write_start = trace_root.map(|_| imt_obs::trace::now_ns());
+                    if queue_response(conn, request_id, &NetResponse::from_response(&response)) {
+                        return true;
+                    }
+                    stats.responses.fetch_add(1, Ordering::Relaxed);
+                    if let Some(start) = write_start {
+                        imt_obs::trace::record_stage(
+                            "net.write",
+                            trace_root,
+                            start,
+                            imt_obs::trace::now_ns(),
+                        );
+                    }
+                    continue;
+                }
                 conn.in_flight += 1;
                 let mailbox = Arc::clone(mailbox);
                 // The worker thread runs this at fulfill time: encode
@@ -963,7 +1016,7 @@ fn drain_frames(
                 // Typed admission refusal (Overloaded, QuotaExceeded,
                 // Shutdown): written straight back, no job exists.
                 let refusal =
-                    NetResponse::refusal(request_id, &kernel_name, RemoteError::from_serve(&e));
+                    NetResponse::refusal(request_id, &spec.name, RemoteError::from_serve(&e));
                 if queue_refusal(conn, request_id, &refusal) {
                     return true;
                 }
@@ -972,24 +1025,27 @@ fn drain_frames(
     }
 }
 
-/// Encodes a refusal on the reactor thread into the connection's reused
-/// scratch and queues it. Returns `true` when the connection is dead.
-fn queue_refusal(conn: &mut ConnState, request_id: u64, refusal: &NetResponse) -> bool {
+/// Encodes a response on the reactor thread into the connection's reused
+/// scratch and queues it for the wake's flush. Returns `true` when the
+/// frame cannot be encoded (the connection must be closed).
+fn queue_response(conn: &mut ConnState, request_id: u64, response: &NetResponse) -> bool {
     let mut scratch = std::mem::take(&mut conn.encode_scratch);
     scratch.clear();
     let encoded = Frame::encode_parts_into(
         FrameKind::Response,
         request_id,
-        &refusal.encode(),
+        &response.encode(),
         &mut scratch,
     );
-    let dead = match encoded {
-        Ok(()) => {
-            conn.queue_bytes(&scratch);
-            conn.flush().is_err()
-        }
-        Err(_) => true,
-    };
+    if encoded.is_ok() {
+        conn.queue_bytes(&scratch);
+    }
     conn.encode_scratch = scratch;
-    dead
+    encoded.is_err()
+}
+
+/// Queues a refusal and flushes it at once. Returns `true` when the
+/// connection is dead.
+fn queue_refusal(conn: &mut ConnState, request_id: u64, refusal: &NetResponse) -> bool {
+    queue_response(conn, request_id, refusal) || conn.flush().is_err()
 }

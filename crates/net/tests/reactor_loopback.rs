@@ -11,11 +11,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use imt_bench::runner::kernel_profile;
-use imt_core::eval::{evaluate_auto, EvalNeeds};
+use imt_core::eval::{evaluate_auto, EvalNeeds, EvalPath};
+use imt_core::scheme::{build_scheme, evaluate_scheme_auto, SchemeSpec};
 use imt_core::{encode_program, EncoderConfig};
 use imt_kernels::Kernel;
 use imt_net::chaos::ALL_INJECTIONS;
-use imt_net::msg::{NetRequest, RemoteError};
+use imt_net::msg::{NetCompleted, NetRequest, NetResponse, RemoteError};
 use imt_net::pool::{ClientPool, PersistentClient, PoolConfig};
 use imt_net::reactor::{ReactorConfig, ReactorServer};
 use imt_net::wire::{Frame, FrameKind};
@@ -174,10 +175,20 @@ fn pipelined_requests_complete_out_of_order_and_all_match() {
     server.stop();
 }
 
+/// A test-scale `tri` request with TT capacity `tt_capacity`: each
+/// capacity is its own design point, so a fresh service memoizes none.
+fn design_point(tt_capacity: u32) -> NetRequest {
+    let mut request = NetRequest::new("tri", true);
+    request.tt_capacity = tt_capacity;
+    request
+}
+
 #[test]
 fn reject_admission_surfaces_as_typed_overload_over_the_reactor() {
     // One worker, tiny queue, reject admission: flooding the pipeline
     // must yield typed Overloaded refusals — never a blocked reactor.
+    // The flood is 32 distinct design points: a repeat of a finished one
+    // would be answered from the memo without a queue slot.
     let (_service, server, path) = start_reactor(
         "overload",
         ServiceConfig::default()
@@ -188,8 +199,8 @@ fn reject_admission_surfaces_as_typed_overload_over_the_reactor() {
     let mut conn = persistent(&path);
 
     let mut ids = Vec::new();
-    for _ in 0..32 {
-        ids.push(conn.send(&NetRequest::new("tri", true)).expect("send"));
+    for tt_capacity in 1..=32 {
+        ids.push(conn.send(&design_point(tt_capacity)).expect("send"));
     }
     let mut completed = 0u32;
     let mut overloaded = 0u32;
@@ -205,6 +216,242 @@ fn reject_admission_surfaces_as_typed_overload_over_the_reactor() {
     assert!(overloaded >= 1, "the flood must trip admission");
     assert_eq!(completed + overloaded, 32);
 
+    server.stop();
+}
+
+#[test]
+fn a_memoized_repeat_is_answered_while_the_queue_is_full() {
+    let (service, server, path) = start_reactor(
+        "memo-full",
+        ServiceConfig::default()
+            .with_workers(1)
+            .with_queue_capacity(1)
+            .with_admission(Admission::Reject),
+    );
+    let mut conn = persistent(&path);
+    let repeat = NetRequest::new("fft", true).with_block_size(5);
+    let first = conn.call(&repeat).expect("transport").outcome.expect("fft");
+
+    // Occupy the only worker with a slow job: a paper-scale kernel whose
+    // icache need routes it to full simulation.
+    let batches = service.stats().batches;
+    let mut slow = NetRequest::new("fft", false);
+    slow.needs.icache = true;
+    let slow = conn.send(&slow).expect("send");
+    while service.stats().batches == batches {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The queue's one slot fills, the repeat arrives, and the point after
+    // it proves the slot was still taken when the repeat was admitted.
+    let queued = conn.send(&design_point(1)).expect("send");
+    let hit = conn.send(&repeat).expect("send");
+    let refused = conn.send(&design_point(2)).expect("send");
+
+    let (id, response) = conn.recv_any().expect("the hit's response");
+    assert_eq!(id, hit, "the hit is answered before the queued work");
+    assert_eq!(response.outcome.expect("memoized outcome"), first);
+    match conn.recv(refused).expect("typed response").outcome {
+        Err(RemoteError::Overloaded { .. }) => {}
+        other => panic!("the queue must be full, got {other:?}"),
+    }
+    conn.recv(slow).expect("slow job").outcome.expect("fft");
+    conn.recv(queued).expect("queued job").outcome.expect("tri");
+    assert_eq!(service.stats().admission_hits, 1);
+    server.stop();
+}
+
+#[test]
+fn pipelined_repeats_on_one_connection_are_all_answered() {
+    let (service, server, path) =
+        start_reactor("repeats", ServiceConfig::default().with_workers(2));
+    let mut conn = persistent(&path);
+    let request = NetRequest::new("tri", true).with_block_size(5);
+    let first = conn
+        .call(&request)
+        .expect("transport")
+        .outcome
+        .expect("tri");
+    assert_eq!(first.evaluation, serial_reference(Kernel::Tri, 5));
+
+    const REPEATS: u64 = 64;
+    let ids: Vec<u64> = (0..REPEATS)
+        .map(|_| conn.send(&request).expect("send"))
+        .collect();
+    while conn.in_flight() > 0 {
+        let (id, response) = conn.recv_any().expect("pipelined recv");
+        assert!(ids.contains(&id), "response id {id} was sent");
+        assert_eq!(response.outcome.expect("memoized outcome"), first);
+    }
+    let stats = server.stats();
+    assert_eq!(stats.requests, REPEATS + 1);
+    assert_eq!(stats.responses, stats.requests);
+    assert_eq!(service.stats().admission_hits, REPEATS);
+    server.stop();
+}
+
+/// Twenty-four distinct design points, four per kernel: two TT/BBIT
+/// points and one Gray and one low-weight point, each with its own block
+/// size and TT/BBIT capacities.
+fn sweep_points() -> Vec<(Kernel, NetRequest)> {
+    let schemes = ["tt", "tt", "gray", "lowweight"];
+    Kernel::ALL
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &kernel)| {
+            schemes.iter().enumerate().map(move |(j, &scheme)| {
+                let mut request = NetRequest::new(kernel.name(), true)
+                    .with_block_size(4 + ((i + j) % 4) as u32)
+                    .with_scheme(scheme);
+                request.tt_capacity = 1 + ((7 * i + 13 * j) % 64) as u32;
+                request.bbit_capacity = 1 + ((5 * i + 11 * j) % 64) as u32;
+                (kernel, request)
+            })
+        })
+        .collect()
+}
+
+/// What an in-process one-shot run computes for `request`:
+/// `encode_program` + `evaluate_auto` for TT/BBIT, `build_scheme` +
+/// `evaluate_scheme_auto` for the other schemes.
+fn one_shot_reference(kernel: Kernel, request: &NetRequest) -> NetCompleted {
+    let spec = kernel.test_spec();
+    let profile = kernel_profile(&spec);
+    let config = EncoderConfig::default()
+        .with_block_size(request.block_size as usize)
+        .expect("valid block size")
+        .with_tt_capacity(request.tt_capacity as usize)
+        .with_bbit_capacity(request.bbit_capacity as usize);
+    let needs = EvalNeeds::transitions_only();
+    let edges = Some(&profile.edges);
+    let (evaluation, path, encoded_blocks) =
+        match SchemeSpec::parse(&request.scheme).expect("known scheme") {
+            SchemeSpec::TtBbit => {
+                let encoded =
+                    encode_program(&profile.program, &profile.profile, &config).expect("encodes");
+                let (evaluation, path) =
+                    evaluate_auto(&profile.program, &encoded, spec.max_steps, edges, needs)
+                        .expect("evaluates");
+                (evaluation, path, encoded.report.encoded.len() as u64)
+            }
+            scheme => {
+                let mut built = build_scheme(scheme, &profile.program, &profile.profile, &config)
+                    .expect("builds");
+                let (evaluation, path) = evaluate_scheme_auto(
+                    built.as_mut(),
+                    &profile.program,
+                    spec.max_steps,
+                    edges,
+                    needs,
+                )
+                .expect("evaluates");
+                (evaluation.to_evaluation(), path, 0)
+            }
+        };
+    NetCompleted {
+        evaluation,
+        replay_path: path == EvalPath::Replay,
+        encoded_blocks,
+        fault: None,
+    }
+}
+
+#[test]
+fn distinct_design_points_and_their_repeats_match_the_one_shot_reference() {
+    let (service, server, path) = start_reactor("sweep", ServiceConfig::default().with_workers(2));
+    let mut conn = persistent(&path);
+    let points = sweep_points();
+    let references: Vec<NetCompleted> = points
+        .iter()
+        .map(|(kernel, request)| one_shot_reference(*kernel, request))
+        .collect();
+    // The first pass runs the staged encode on a worker for every point;
+    // the second is answered from the memo at admission.
+    for (pass, hits) in [(1, 0), (2, points.len() as u64)] {
+        let ids: Vec<u64> = points
+            .iter()
+            .map(|(_, request)| conn.send(request).expect("send"))
+            .collect();
+        while conn.in_flight() > 0 {
+            let (id, response) = conn.recv_any().expect("pipelined recv");
+            let at = ids.iter().position(|&sent| sent == id).expect("sent id");
+            let (kernel, request) = &points[at];
+            assert_eq!(
+                response.outcome.expect("completes"),
+                references[at],
+                "pass {pass}: {kernel:?} k={} tt={} bbit={} scheme {:?}",
+                request.block_size,
+                request.tt_capacity,
+                request.bbit_capacity,
+                request.scheme
+            );
+        }
+        assert_eq!(service.stats().admission_hits, hits, "pass {pass}");
+    }
+    server.stop();
+}
+
+#[test]
+fn memo_hits_pipelined_without_reading_are_throttled_at_max_pending_write() {
+    let path = unique_sock("throttle");
+    let service = Arc::new(Service::start(ServiceConfig::default().with_workers(1)));
+    let server = ReactorServer::start(
+        Arc::clone(&service),
+        &ListenAddr::Unix(path.clone()),
+        ReactorConfig {
+            max_pending_write: 4096,
+            ..ReactorConfig::default()
+        },
+    )
+    .expect("unix bind");
+    let request = NetRequest::new("tri", true).with_block_size(5);
+    let first = persistent(&path)
+        .call(&request)
+        .expect("transport")
+        .outcome
+        .expect("tri");
+
+    // Far more responses than the socket buffers and the pending-write cap
+    // hold, sent by a peer that does not read until the server stalls.
+    const HITS: u64 = 4000;
+    let raw = UnixStream::connect(&path).expect("connect");
+    let mut writer = raw.try_clone().expect("clone the socket");
+    let payload = request.encode();
+    let sender = std::thread::spawn(move || {
+        for id in 1..=HITS {
+            let frame = Frame::new(FrameKind::Request, id, payload.clone()).expect("under cap");
+            writer
+                .write_all(&frame.to_bytes())
+                .expect("the server reads on");
+        }
+    });
+    let responses = || server.stats().responses;
+    while responses() == 1 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut last = responses();
+    loop {
+        std::thread::sleep(Duration::from_millis(200));
+        let now = responses();
+        if now == last {
+            break;
+        }
+        last = now;
+    }
+    assert!(
+        last < 1 + HITS,
+        "a peer that does not read must be throttled, got {last} responses"
+    );
+
+    let mut reader = std::io::BufReader::new(raw);
+    for id in 1..=HITS {
+        let frame = Frame::read_from(&mut reader).expect("a response frame");
+        assert_eq!(frame.request_id, id, "responses keep request order");
+        let response = NetResponse::decode(&frame.payload).expect("decodes");
+        assert_eq!(response.outcome.expect("memoized outcome"), first);
+    }
+    sender.join().expect("sender finished");
+    assert_eq!(responses(), 1 + HITS);
+    assert_eq!(service.stats().admission_hits, HITS);
     server.stop();
 }
 

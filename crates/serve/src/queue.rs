@@ -27,6 +27,10 @@ pub(crate) struct Job {
     /// Precomputed [`Request::batch_key`] — dequeue compares it per
     /// queued job.
     pub(crate) batch_key: String,
+    /// [`Request::result_key`], computed once at admission when the
+    /// result memo is on (`None` otherwise, or when the request must
+    /// re-execute).
+    pub(crate) result_key: Option<String>,
     pub(crate) slot: Arc<Slot>,
     pub(crate) cancel: CancellationToken,
     pub(crate) submitted: Instant,
@@ -87,6 +91,11 @@ impl JobQueue {
     /// Jobs currently queued.
     pub(crate) fn depth(&self) -> usize {
         self.lock().jobs.len()
+    }
+
+    /// Whether the queue still admits work (not yet closed).
+    pub(crate) fn is_open(&self) -> bool {
+        self.lock().open
     }
 
     /// Non-blocking admission: enqueues or returns the job with the
@@ -200,6 +209,7 @@ mod tests {
             id,
             request,
             batch_key,
+            result_key: None,
             slot: Arc::new(Slot::default()),
             cancel: CancellationToken::new(),
             submitted: Instant::now(),
@@ -254,7 +264,9 @@ mod tests {
     fn closed_empty_queue_returns_none_and_refuses_pushes() {
         let queue = JobQueue::new(4);
         queue.try_push(job(1, Kernel::Tri)).expect("push");
+        assert!(queue.is_open());
         queue.close();
+        assert!(!queue.is_open());
         let (_, reason) = queue.try_push(job(2, Kernel::Tri)).expect_err("closed");
         assert_eq!(reason, PushRefusal::Closed);
         // Already-queued work is still served.

@@ -15,6 +15,9 @@
 //! [`ReplayBasis`], and the warmed kernel keeps one [`PreparedCodec`] per
 //! codec setting it has served, so a request runs only the per-request
 //! stages: [`imt_core::pipeline::select`] and replay against the basis.
+//!
+//! A request whose outcome is already in the result memo never reaches a
+//! worker: [`Service::submit`] answers it on the caller's thread.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -164,8 +167,9 @@ impl ServiceConfig {
     /// Encoding and evaluation are deterministic, so two requests with
     /// the same [`Request::result_key`] produce bit-identical outcomes;
     /// the memo serves the repeat from a clone instead of re-running
-    /// kernel math. Requests with a fault plan always re-execute.
-    /// Disable to benchmark the raw execute path.
+    /// kernel math, at admission when it can ([`Service::submit`]).
+    /// Requests with a fault plan always re-execute. Disable to
+    /// benchmark the raw execute path.
     #[must_use]
     pub fn with_result_memo(mut self, enabled: bool) -> ServiceConfig {
         self.result_memo = enabled;
@@ -204,6 +208,7 @@ impl ServiceConfig {
 #[derive(Debug, Default)]
 struct ServiceStats {
     submitted: AtomicU64,
+    admission_hits: AtomicU64,
     rejected: AtomicU64,
     quota_rejected: AtomicU64,
     completed: AtomicU64,
@@ -227,6 +232,10 @@ struct ServiceStats {
 pub struct StatsSnapshot {
     /// Requests admitted into the queue.
     pub submitted: u64,
+    /// Requests answered from the result memo at admission, never
+    /// queued. Once the service is idle, `completed + failed ==
+    /// submitted + admission_hits`.
+    pub admission_hits: u64,
     /// Requests refused at admission ([`ServeError::Overloaded`]).
     pub rejected: u64,
     /// Requests refused at the per-tenant quota gate
@@ -376,12 +385,22 @@ impl Service {
         Service { inner, workers }
     }
 
-    /// Submits one request. Under [`Admission::Block`] this waits for
-    /// queue space; under [`Admission::Reject`] a full queue returns
-    /// [`ServeError::Overloaded`] immediately.
+    /// Submits one request.
+    ///
+    /// A request whose outcome the result memo already holds is answered
+    /// here, on the caller's thread: its ticket is ready when `submit`
+    /// returns (`queue_ns` 0, `worker` `usize::MAX`), it never takes a
+    /// queue slot, and it is counted in [`StatsSnapshot::admission_hits`]
+    /// rather than `submitted`. With a delivery latency configured every
+    /// request still goes to a worker: the stall models programming the
+    /// TT/BBIT images into the device, which a memoized answer needs too.
+    /// Any other request waits for queue space under
+    /// [`Admission::Block`]; under [`Admission::Reject`] a full queue
+    /// returns [`ServeError::Overloaded`] immediately.
     ///
     /// # Errors
     ///
+    /// [`ServeError::QuotaExceeded`] (tenant at its cap),
     /// [`ServeError::Overloaded`] (rejecting admission, queue full) or
     /// [`ServeError::ShuttingDown`].
     pub fn submit(&self, request: Request) -> Result<Ticket, ServeError> {
@@ -425,9 +444,21 @@ impl Service {
                 });
             }
         }
+        // The key is formatted once here; a queued job carries it to the
+        // worker's memo check.
+        let result_key = if inner.config.result_memo {
+            request.result_key()
+        } else {
+            None
+        };
+        let hit = match &result_key {
+            Some(key) if inner.config.delivery_latency.is_none() => inner.results.get(key),
+            _ => None,
+        };
         let job = Job {
             id,
             batch_key: request.batch_key(),
+            result_key,
             request,
             slot: Arc::clone(&slot),
             cancel: cancel.clone(),
@@ -436,12 +467,14 @@ impl Service {
             trace: trace_ctx,
             submitted_ns,
         };
+        if let Some(hit) = hit {
+            inner.answer_at_admission(job, &hit)?;
+            return Ok(Ticket::new(id, slot, cancel));
+        }
         match inner.config.admission {
             Admission::Reject => {
                 if let Err((job, refusal)) = inner.queue.try_push(job) {
-                    inner.release_quota(&job.request);
-                    imt_obs::trace::instant_under("serve.admission_refused", job.trace);
-                    imt_obs::trace::close_root("serve.request", job.trace, job.submitted_ns);
+                    inner.refuse_admission(&job);
                     return Err(match refusal {
                         PushRefusal::Full { depth, capacity } => {
                             inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
@@ -456,9 +489,7 @@ impl Service {
             }
             Admission::Block => {
                 if let Err(job) = inner.queue.push_wait(job) {
-                    inner.release_quota(&job.request);
-                    imt_obs::trace::instant_under("serve.admission_refused", job.trace);
-                    imt_obs::trace::close_root("serve.request", job.trace, job.submitted_ns);
+                    inner.refuse_admission(&job);
                     return Err(ServeError::ShuttingDown);
                 }
             }
@@ -506,6 +537,7 @@ impl Service {
         let s = &self.inner.stats;
         StatsSnapshot {
             submitted: s.submitted.load(Ordering::Relaxed),
+            admission_hits: s.admission_hits.load(Ordering::Relaxed),
             rejected: s.rejected.load(Ordering::Relaxed),
             quota_rejected: s.quota_rejected.load(Ordering::Relaxed),
             completed: s.completed.load(Ordering::Relaxed),
@@ -558,6 +590,103 @@ impl ServiceInner {
         if let (Some(quotas), Some(tenant)) = (&self.quotas, &request.tenant) {
             quotas.release(tenant);
         }
+    }
+
+    /// Undoes the admission of a job that is refused after the quota
+    /// gate: its tenant's slot comes back and its trace root closes.
+    fn refuse_admission(&self, job: &Job) {
+        self.release_quota(&job.request);
+        imt_obs::trace::instant_under("serve.admission_refused", job.trace);
+        imt_obs::trace::close_root("serve.request", job.trace, job.submitted_ns);
+    }
+
+    /// Answers `job` from its memoized `outcome` on the submitting
+    /// thread: no queue slot, no worker, and the tenant's quota slot is
+    /// back before the ticket is returned. A closed service refuses it
+    /// like any other submission.
+    fn answer_at_admission(
+        &self,
+        job: Job,
+        outcome: &Result<Completed, ServeError>,
+    ) -> Result<(), ServeError> {
+        if !self.queue.is_open() {
+            self.refuse_admission(&job);
+            return Err(ServeError::ShuttingDown);
+        }
+        let (trace, submitted_ns) = (job.trace, job.submitted_ns);
+        self.stats.admission_hits.fetch_add(1, Ordering::Relaxed);
+        if imt_obs::enabled() {
+            imt_obs::counter!("serve.result_memo_hits").inc();
+        }
+        let service_ns = job.submitted.elapsed().as_nanos() as u64;
+        self.deliver(job, outcome.clone(), 0, service_ns, 1, usize::MAX);
+        imt_obs::trace::instant_under("serve.memo_hit", trace);
+        imt_obs::trace::close_root("serve.request", trace, submitted_ns);
+        Ok(())
+    }
+
+    /// Counts an answered job's outcome and fulfills its ticket: the one
+    /// exit of every executed or memo-answered request.
+    fn deliver(
+        &self,
+        job: Job,
+        outcome: Result<Completed, ServeError>,
+        queue_ns: u64,
+        service_ns: u64,
+        batch_size: usize,
+        worker: usize,
+    ) {
+        let missed_deadline = job.deadline.is_some_and(|d| Instant::now() > d);
+        match &outcome {
+            Ok(_) => {
+                self.stats.completed.fetch_add(1, Ordering::Relaxed);
+                if missed_deadline {
+                    self.stats.deadline_missed.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            Err(e) => {
+                self.stats.failed.fetch_add(1, Ordering::Relaxed);
+                match e {
+                    ServeError::Panicked { .. } => {
+                        self.stats.panicked.fetch_add(1, Ordering::Relaxed);
+                    }
+                    ServeError::Poisoned { .. } => {
+                        self.stats.poisoned.fetch_add(1, Ordering::Relaxed);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        if imt_obs::enabled() {
+            match &outcome {
+                Ok(_) => imt_obs::counter!("serve.completed").inc(),
+                Err(e) => {
+                    imt_obs::counter!("serve.failed").inc();
+                    if matches!(e, ServeError::Panicked { .. }) {
+                        imt_obs::counter!("serve.panicked").inc();
+                    }
+                }
+            }
+            if missed_deadline {
+                imt_obs::counter!("serve.deadline_missed").inc();
+            }
+            imt_obs::registry::histogram("serve.queue_ns").observe(queue_ns);
+            imt_obs::registry::histogram("serve.service_ns").observe(service_ns);
+        }
+        // Release before fulfilling: a caller that waits on its ticket and
+        // immediately resubmits must find its quota slot free.
+        self.release_quota(&job.request);
+        job.slot.fulfill(Response {
+            id: job.id,
+            kernel: job.request.spec.name.clone(),
+            block_size: job.request.config.block_size(),
+            outcome,
+            queue_ns,
+            service_ns,
+            batch_size,
+            worker,
+            missed_deadline,
+        });
     }
 
     /// Fails a job before execution and fulfills its ticket. Every
@@ -746,7 +875,7 @@ fn worker_loop(inner: &ServiceInner, worker: usize) {
 
 fn serve_job(
     inner: &ServiceInner,
-    job: Job,
+    mut job: Job,
     warmed: &Result<WarmProfile, ServeError>,
     batch_size: usize,
     worker: usize,
@@ -781,11 +910,10 @@ fn serve_job(
     let outcome = match warmed {
         Err(profile_error) => Err(profile_error.clone()),
         Ok(warm) => {
-            let memo_key = inner
-                .config
-                .result_memo
-                .then(|| job.request.result_key())
-                .flatten();
+            // Admission answers repeats of finished requests; duplicates
+            // queued before their first twin finished, and every repeat
+            // under a delivery latency, are answered here.
+            let memo_key = job.result_key.take();
             match memo_key.as_deref().and_then(|key| inner.results.get(key)) {
                 Some(hit) => {
                     if imt_obs::enabled() {
@@ -831,63 +959,14 @@ fn serve_job(
         }
     }
     let service_ns = picked.elapsed().as_nanos() as u64;
-    let missed_deadline = job.deadline.is_some_and(|d| Instant::now() > d);
-    match &outcome {
-        Ok(_) => {
-            inner.stats.completed.fetch_add(1, Ordering::Relaxed);
-            if missed_deadline {
-                inner.stats.deadline_missed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Err(e) => {
-            inner.stats.failed.fetch_add(1, Ordering::Relaxed);
-            match e {
-                ServeError::Panicked { .. } => {
-                    inner.stats.panicked.fetch_add(1, Ordering::Relaxed);
-                }
-                ServeError::Poisoned { .. } => {
-                    inner.stats.poisoned.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {}
-            }
-        }
-    }
-    if imt_obs::enabled() {
-        match &outcome {
-            Ok(_) => imt_obs::counter!("serve.completed").inc(),
-            Err(e) => {
-                imt_obs::counter!("serve.failed").inc();
-                if matches!(e, ServeError::Panicked { .. }) {
-                    imt_obs::counter!("serve.panicked").inc();
-                }
-            }
-        }
-        if missed_deadline {
-            imt_obs::counter!("serve.deadline_missed").inc();
-        }
-        imt_obs::registry::histogram("serve.queue_ns").observe(queue_ns);
-        imt_obs::registry::histogram("serve.service_ns").observe(service_ns);
-    }
-    // Release before fulfilling: a caller that waits on its ticket and
-    // immediately resubmits must find its quota slot free.
-    inner.release_quota(&job.request);
-    job.slot.fulfill(Response {
-        id: job.id,
-        kernel: job.request.spec.name.clone(),
-        block_size: job.request.config.block_size(),
-        outcome,
-        queue_ns,
-        service_ns,
-        batch_size,
-        worker,
-        missed_deadline,
-    });
+    let (trace, submitted_ns) = (job.trace, job.submitted_ns);
+    inner.deliver(job, outcome, queue_ns, service_ns, batch_size, worker);
     // Close children before the root so the request's span tree nests
     // cleanly: root (submit → respond) ⊇ execute ⊇ encode/eval.
     drop(span);
     drop(texec);
-    imt_obs::trace::instant_under("serve.respond", job.trace);
-    imt_obs::trace::close_root("serve.request", job.trace, job.submitted_ns);
+    imt_obs::trace::instant_under("serve.respond", trace);
+    imt_obs::trace::close_root("serve.request", trace, submitted_ns);
 }
 
 /// One request's actual work, given its kernel's warmed profile: select
@@ -1388,6 +1467,130 @@ mod tests {
             1,
             "repeat must not re-insert"
         );
+        service.shutdown();
+    }
+
+    /// A repeat of a finished request is answered inside `submit`: its
+    /// ticket is ready on return, it never enters the queue or a batch,
+    /// and it is counted as an admission hit.
+    #[test]
+    fn a_memoized_repeat_is_answered_at_admission() {
+        let service = Service::start(ServiceConfig::default().with_workers(1));
+        let first = service
+            .submit(request(Kernel::Tri))
+            .expect("accepted")
+            .wait()
+            .outcome
+            .expect("tri serves");
+        let before = service.stats();
+        let ticket = service.submit(request(Kernel::Tri)).expect("accepted");
+        let response = ticket.try_take().expect("answered before submit returned");
+        assert_eq!(response.outcome.expect("memoized outcome"), first);
+        assert_eq!(response.queue_ns, 0);
+        assert_eq!(response.batch_size, 1);
+        assert_eq!(response.worker, usize::MAX);
+        let after = service.stats();
+        assert_eq!(after.submitted, before.submitted);
+        assert_eq!(after.batches, before.batches);
+        assert_eq!(after.admission_hits, before.admission_hits + 1);
+        assert_eq!(after.completed, before.completed + 1);
+        assert_eq!(
+            after.completed + after.failed,
+            after.submitted + after.admission_hits
+        );
+        service.shutdown();
+    }
+
+    /// The quota gate runs before the memo lookup, so a tenant at its cap
+    /// is refused even a memoized answer; a hit gives its slot back before
+    /// `submit` returns.
+    #[test]
+    fn admission_hits_pass_the_quota_gate_and_hold_no_slot() {
+        let service = Service::start(
+            ServiceConfig::default()
+                .with_workers(1)
+                .with_tenant_quota(1),
+        );
+        let hot = || request(Kernel::Tri).with_tenant("hot");
+        service
+            .submit(hot())
+            .expect("accepted")
+            .wait()
+            .outcome
+            .expect("tri serves");
+        // An in-flight request of the tenant's holds its one slot.
+        let quotas = service.inner.quotas.as_ref().expect("quota configured");
+        quotas.try_acquire("hot").expect("slot free");
+        match service.submit(hot()).expect_err("tenant at its cap") {
+            ServeError::QuotaExceeded {
+                in_flight, limit, ..
+            } => assert_eq!((in_flight, limit), (1, 1)),
+            other => panic!("expected QuotaExceeded, got {other:?}"),
+        }
+        quotas.release("hot");
+        for _ in 0..2 {
+            let ticket = service.submit(hot()).expect("a hit holds no slot");
+            ticket.try_take().expect("answered at admission");
+        }
+        let stats = service.stats();
+        assert_eq!((stats.admission_hits, stats.quota_rejected), (2, 1));
+        service.shutdown();
+    }
+
+    /// The delivery stall models programming the tables into the device,
+    /// which a memoized answer needs too: with it configured, a repeat
+    /// still goes through a worker and pays the stall.
+    #[test]
+    fn a_delivery_latency_sends_repeats_to_a_worker() {
+        let stall = Duration::from_millis(5);
+        let service = Service::start(
+            ServiceConfig::default()
+                .with_workers(1)
+                .with_delivery_latency(stall),
+        );
+        let first = service
+            .submit(request(Kernel::Tri))
+            .expect("accepted")
+            .wait()
+            .outcome
+            .expect("tri serves");
+        let repeat = service
+            .submit(request(Kernel::Tri))
+            .expect("accepted")
+            .wait();
+        assert_eq!(repeat.outcome.expect("memoized outcome"), first);
+        assert_eq!(repeat.worker, 0);
+        assert!(repeat.service_ns >= stall.as_nanos() as u64);
+        let stats = service.stats();
+        assert_eq!((stats.submitted, stats.batches), (2, 2));
+        assert_eq!(stats.admission_hits, 0);
+        service.shutdown();
+    }
+
+    /// A closed service refuses a memoized repeat like any submission, and
+    /// the refusal returns the tenant's quota slot.
+    #[test]
+    fn a_closed_service_refuses_a_memoized_repeat() {
+        let service = Service::start(
+            ServiceConfig::default()
+                .with_workers(1)
+                .with_tenant_quota(1),
+        );
+        let req = || request(Kernel::Tri).with_tenant("t");
+        service
+            .submit(req())
+            .expect("accepted")
+            .wait()
+            .outcome
+            .expect("tri serves");
+        service.inner.queue.close();
+        assert_eq!(
+            service.submit(req()).expect_err("closed"),
+            ServeError::ShuttingDown
+        );
+        assert_eq!(service.stats().admission_hits, 0);
+        let quotas = service.inner.quotas.as_ref().expect("quota configured");
+        quotas.try_acquire("t").expect("the refusal freed the slot");
         service.shutdown();
     }
 
