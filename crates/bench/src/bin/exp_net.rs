@@ -2,11 +2,14 @@
 //! sharded serving state of `imt-net` under load, overload, and
 //! transport-level chaos.
 //!
-//! Four phases, all over a real Unix socket through the full
-//! client → frame → server → `Service` → frame → client path:
+//! Every phase runs over a real Unix socket through the full
+//! client → frame → reactor → `Service` → frame → client path: the
+//! epoll reactor front-end (`imt_net::reactor`) with persistent client
+//! connections (`imt_net::pool`).
 //!
-//! 1. **Saturation probe** — a closed-loop thread pool hammers the
-//!    server to measure saturation throughput.
+//! 1. **Saturation probe** — closed-loop threads, each on its own
+//!    persistent connection, hammer the server to measure saturation
+//!    throughput.
 //! 2. **Open-loop load** — a seeded generator (Poisson arrivals with
 //!    bursts, Zipf kernel popularity, a 70%-hot tenant mix) offers the
 //!    bulk of the workload at ~3/4 of saturation and records
@@ -22,34 +25,28 @@
 //!    disconnects and a full server restart on the same socket path.
 //!    Every corruption must surface as a typed error server-side —
 //!    never a panic — and a clean request must still round-trip
-//!    bit-identically afterwards.
-//!
-//! The event-driven front-end adds three more phases on top:
-//!
-//! 5. **Connection scaling** — 64→4096 concurrent connections driven
-//!    by forked sender processes against both serving paths end to
-//!    end: the thread-per-connection server under PR 8's
-//!    connection-per-request clients versus the epoll reactor under
-//!    persistent pipelined connections, over a deliberately
-//!    transport-bound service (tiny test-scale kernels behind a
-//!    delivery stall). Asserts the reactor+pipelined path serves ≥2×
-//!    the old path's saturation at ≥1024 connections.
-//! 6. **10⁶-request open loop** — a seeded Poisson schedule offered at
-//!    ~70% of the measured reactor saturation through multi-process
+//!    bit-identically afterwards, sequentially and pipelined out of
+//!    order over one persistent connection.
+//! 5. **Trace** — one traced request whose causal timeline must cover
+//!    read → decode → queue → warm → encode → respond → write.
+//! 6. **Connection scaling** — 8→32 (test) or 64→4096 (paper)
+//!    concurrent persistent connections, each with up to
+//!    [`PIPELINE_DEPTH`] requests in flight, driven closed-loop by
+//!    forked sender processes over a deliberately transport-bound
+//!    service (tiny test-scale kernels behind a delivery stall).
+//! 7. **10⁶-request open loop** — a seeded Poisson schedule offered at
+//!    ~70% of the measured scaling saturation through multi-process
 //!    load generation (`exp_net --sender` children), recording
 //!    p50/p99/p999 and re-checking conservation, zero wrong words, and
 //!    cold-tenant fairness at the million-request mark.
-//! 7. **Reactor chaos + trace** — the chaos matrix and the causal
-//!    trace timeline re-run against the reactor + persistent path,
-//!    plus a pipelined out-of-order bit-identity probe after restart.
 //!
 //! In-binary gates: zero wrong-word responses end-to-end (every
 //! completed response is compared bit-for-bit against a serial
 //! `encode_program` + `evaluate_auto` reference), conservation
 //! (completed + rejected + failed == offered, nothing lost), the cold
-//! tenants' completion share at or above the fair-share floor, and a
-//! causal trace whose timeline covers
-//! read → decode → queue → warm → encode → respond for one request.
+//! tenants' completion share at or above the fair-share floor, every
+//! chaos injection typed, and a causal trace whose timeline covers
+//! the whole request for one request.
 //!
 //! Writes the machine-readable `results/BENCH_net.json` (scale-stamped).
 //! Timing numbers vary run to run; the workload, its order, the tenant
@@ -70,11 +67,9 @@ use imt_core::eval::{evaluate_auto, EvalNeeds, Evaluation};
 use imt_core::{encode_program, EncoderConfig};
 use imt_kernels::Kernel;
 use imt_net::chaos::{Injection, XorShift64, ALL_INJECTIONS};
-use imt_net::client::{Client, ClientConfig};
 use imt_net::msg::{NetRequest, NetResponse, RemoteError};
-use imt_net::pool::PersistentClient;
+use imt_net::pool::{ClientPool, PersistentClient, PoolConfig};
 use imt_net::reactor::{ReactorConfig, ReactorServer};
-use imt_net::server::{NetServer, ServerConfig, ServerStatsSnapshot};
 use imt_net::wire::{Frame, FrameKind};
 use imt_net::{ListenAddr, NetError};
 use imt_obs::json::Json;
@@ -282,21 +277,26 @@ fn unique_sock() -> PathBuf {
     std::env::temp_dir().join(format!("imt-exp-net-{}-{nonce}.sock", std::process::id()))
 }
 
+/// Starts a service behind the reactor on `path`. `read_timeout` is the
+/// reactor's mid-frame stall bound.
 fn start_server(
     config: ServiceConfig,
     path: &std::path::Path,
-) -> (std::sync::Arc<Service>, NetServer) {
+    read_timeout: Duration,
+) -> (std::sync::Arc<Service>, ReactorServer) {
     let service = std::sync::Arc::new(Service::start(config));
-    let server = NetServer::start(
+    let server = ReactorServer::start(
         std::sync::Arc::clone(&service),
         &ListenAddr::Unix(path.to_path_buf()),
-        ServerConfig::default().with_timeouts(Duration::from_millis(300), Duration::from_secs(5)),
+        ReactorConfig::default()
+            .with_reactors(REACTORS)
+            .with_read_timeout(read_timeout),
     )
     .expect("unix bind");
     (service, server)
 }
 
-fn stop_server(service: std::sync::Arc<Service>, server: NetServer) {
+fn stop_server(service: std::sync::Arc<Service>, server: ReactorServer) {
     server.stop();
     match std::sync::Arc::try_unwrap(service) {
         Ok(service) => service.shutdown(),
@@ -304,13 +304,14 @@ fn stop_server(service: std::sync::Arc<Service>, server: NetServer) {
     }
 }
 
-fn load_client(path: &std::path::Path) -> Client {
-    Client::new(
-        ListenAddr::Unix(path.to_path_buf()),
-        ClientConfig::default()
-            .with_deadline(Duration::from_secs(30))
-            .with_retries(0),
-    )
+/// One load thread's client: a pool shelving one persistent connection,
+/// with no retries — a refusal is an outcome the ledger counts.
+fn load_client(path: &std::path::Path) -> ClientPool {
+    let mut config = PoolConfig::default()
+        .with_deadline(Duration::from_secs(30))
+        .with_max_idle(1);
+    config.retries = 0;
+    ClientPool::new(ListenAddr::Unix(path.to_path_buf()), config)
 }
 
 fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
@@ -323,8 +324,9 @@ fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
 
 // ---------------------------------------------------------------- phase 1
 
-/// Closed-loop saturation probe: `PROBE_THREADS` clients, round-robin
-/// cells, each call back-to-back. Returns achieved requests/second.
+/// Closed-loop saturation probe: `PROBE_THREADS` clients, one persistent
+/// connection each, round-robin cells, each call back-to-back. Returns
+/// achieved requests/second.
 fn saturation_probe(
     scale: Scale,
     path: &std::path::Path,
@@ -491,6 +493,7 @@ fn quota_fairness(
             .with_delivery_latency(stall)
             .with_tenant_quota(4),
         path,
+        Duration::from_millis(300),
     );
     let hot = Tally::default();
     let cold = Tally::default();
@@ -547,90 +550,10 @@ fn quota_fairness(
     }
 }
 
-// ------------------------------------------------------- server modes
-
-/// Which serving front-end a phase runs against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ServeMode {
-    /// PR 8's thread-per-connection blocking server.
-    Blocking,
-    /// The epoll reactor with persistent pipelined connections.
-    Reactor,
-}
-
-impl ServeMode {
-    fn name(self) -> &'static str {
-        match self {
-            ServeMode::Blocking => "blocking",
-            ServeMode::Reactor => "reactor",
-        }
-    }
-}
-
-enum ServerHandle {
-    Blocking(NetServer),
-    Reactor(ReactorServer),
-}
-
-impl ServerHandle {
-    fn stats(&self) -> ServerStatsSnapshot {
-        match self {
-            ServerHandle::Blocking(server) => server.stats(),
-            ServerHandle::Reactor(server) => server.stats(),
-        }
-    }
-
-    fn stop(self) {
-        match self {
-            ServerHandle::Blocking(server) => server.stop(),
-            ServerHandle::Reactor(server) => server.stop(),
-        }
-    }
-}
-
-fn start_mode_server(
-    mode: ServeMode,
-    config: ServiceConfig,
-    path: &std::path::Path,
-    read_timeout: Duration,
-) -> (std::sync::Arc<Service>, ServerHandle) {
-    let service = std::sync::Arc::new(Service::start(config));
-    let addr = ListenAddr::Unix(path.to_path_buf());
-    let handle = match mode {
-        ServeMode::Blocking => ServerHandle::Blocking(
-            NetServer::start(
-                std::sync::Arc::clone(&service),
-                &addr,
-                ServerConfig::default().with_timeouts(read_timeout, Duration::from_secs(5)),
-            )
-            .expect("unix bind"),
-        ),
-        ServeMode::Reactor => ServerHandle::Reactor(
-            ReactorServer::start(
-                std::sync::Arc::clone(&service),
-                &addr,
-                ReactorConfig::default()
-                    .with_reactors(REACTORS)
-                    .with_read_timeout(read_timeout),
-            )
-            .expect("unix bind"),
-        ),
-    };
-    (service, handle)
-}
-
-fn stop_mode_server(service: std::sync::Arc<Service>, server: ServerHandle) {
-    server.stop();
-    match std::sync::Arc::try_unwrap(service) {
-        Ok(service) => service.shutdown(),
-        Err(_) => panic!("server kept a service handle after stop"),
-    }
-}
-
 /// The deliberately transport-bound service for the scaling and
 /// open-loop phases: tiny test-scale kernels behind a delivery stall
-/// with workers to spare, so what each mode's rps measures is the
-/// serving path — scheduling, syscalls, framing — not kernel math.
+/// with workers to spare, so what the rps measures is the serving
+/// path — scheduling, syscalls, framing — not kernel math.
 fn scaling_service(scale: Scale) -> ServiceConfig {
     let (workers, stall) = match scale {
         Scale::Paper => (64, Duration::from_micros(500)),
@@ -650,8 +573,7 @@ fn scaling_service(scale: Scale) -> ServiceConfig {
 // ------------------------------------------------------- sender child
 //
 // `exp_net --sender ...` re-enters this binary as one forked load
-// generator: pump threads driving either pipelined persistent
-// connections or PR 8-style connection-per-request traffic (`--style`),
+// generator: pump threads driving pipelined persistent connections,
 // tallying outcomes locally (including bit-identity against the serial
 // references) and reporting one summary line on stdout plus an
 // optional binary latency file. Keeping the generators in separate
@@ -659,37 +581,12 @@ fn scaling_service(scale: Scale) -> ServiceConfig {
 // measurement, and is how the 10⁶-request phase reaches open-loop
 // scale without a thread per in-flight request.
 
-/// How a sender drives its connections.
-///
-/// `Pipelined` is the tentpole's new client discipline: persistent
-/// connections, up to `depth` requests in flight each. `PerRequest` is
-/// PR 8's discipline — connect, one request, close — kept measurable
-/// because the tentpole's ≥2× claim is exactly "persistent + pipelined
-/// over the reactor" versus "connection-per-request over
-/// thread-per-connection", where every request pays connection setup
-/// and a server-side thread spawn.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum LoadStyle {
-    Pipelined,
-    PerRequest,
-}
-
-impl LoadStyle {
-    fn flag(self) -> &'static str {
-        match self {
-            LoadStyle::Pipelined => "pipelined",
-            LoadStyle::PerRequest => "per_request",
-        }
-    }
-}
-
 struct SenderArgs {
     addr: PathBuf,
     requests: usize,
     conns: usize,
     threads: usize,
     depth: usize,
-    style: LoadStyle,
     /// Offered requests/second for this process; 0 = closed loop.
     rate: f64,
     seed: u64,
@@ -712,11 +609,6 @@ fn sender_args(args: &[String]) -> SenderArgs {
         conns: num("--conns", 1).max(1),
         threads: num("--threads", 1).max(1),
         depth: num("--depth", PIPELINE_DEPTH).max(1),
-        style: if value("--style") == Some("per_request") {
-            LoadStyle::PerRequest
-        } else {
-            LoadStyle::Pipelined
-        },
         rate: value("--rate").and_then(|v| v.parse().ok()).unwrap_or(0.0),
         seed: value("--seed").and_then(|v| v.parse().ok()).unwrap_or(SEED),
         lat_file: value("--lat").map(PathBuf::from),
@@ -840,91 +732,6 @@ fn pump_drain(
             false
         }
     }
-}
-
-/// One PR 8-discipline load thread: every request opens its own
-/// connection, sends once, reads once, and closes — `conn_count` of
-/// them concurrently open per batch. This is the baseline the tentpole
-/// claims ≥2× over: each request pays connect + accept + a server-side
-/// thread spawn, and the measured latency starts *before* the connect
-/// because that setup cost is exactly what the old path charges.
-#[allow(clippy::too_many_arguments)]
-fn per_request_thread(
-    path: &std::path::Path,
-    n: usize,
-    conn_count: usize,
-    rate: f64,
-    seed: u64,
-    named: &[(Cell, String)],
-    cdf: &[f64],
-    references: &HashMap<(String, usize), Evaluation>,
-) -> (SenderTally, Vec<u64>, Duration) {
-    let io_timeout = Duration::from_secs(30);
-    let mut tally = SenderTally::default();
-    let mut latencies: Vec<u64> = Vec::with_capacity(n);
-    let mut rng = XorShift64::new(seed | 1);
-    let started = Instant::now();
-    let mut clock = 0.0f64;
-    let mut remaining = n;
-    while remaining > 0 {
-        let batch = conn_count.min(remaining);
-        let mut open: Vec<(PersistentClient, u64, PendingReq)> = Vec::with_capacity(batch);
-        for _ in 0..batch {
-            if rate > 0.0 {
-                clock += -(1.0 - rng.unit()).ln() / rate;
-                let target = started + Duration::from_secs_f64(clock);
-                let now = Instant::now();
-                if target > now {
-                    std::thread::sleep(target - now);
-                }
-            }
-            let cell_ix = sample_cdf(cdf, rng.unit());
-            let tenant = if rng.unit() < HOT_SHARE {
-                0
-            } else {
-                1 + rng.index(TENANTS.len() - 1)
-            };
-            tally.offered += 1;
-            tally.per_tenant[tenant][0] += 1;
-            let entry = PendingReq {
-                sent: Instant::now(),
-                cell: cell_ix,
-                tenant,
-            };
-            let request = net_request(Scale::Test, named[cell_ix].0, TENANTS[tenant]);
-            let sent = connect_retry(path, io_timeout)
-                .and_then(|mut conn| conn.send(&request).ok().map(|id| (conn, id)));
-            match sent {
-                Some((conn, id)) => open.push((conn, id, entry)),
-                None => {
-                    tally.failed += 1;
-                    tally.per_tenant[tenant][3] += 1;
-                }
-            }
-        }
-        for (mut conn, id, entry) in open {
-            match conn.recv(id) {
-                Ok(response) => {
-                    classify_response(
-                        &response,
-                        &entry,
-                        named,
-                        references,
-                        &mut tally,
-                        &mut latencies,
-                    );
-                }
-                Err(_) => {
-                    tally.failed += 1;
-                    tally.per_tenant[entry.tenant][3] += 1;
-                }
-            }
-            // Dropping the client closes the connection: one request,
-            // one connection, as the PR 8 client shipped.
-        }
-        remaining -= batch;
-    }
-    (tally, latencies, started.elapsed())
 }
 
 /// One pump thread: a bundle of persistent connections loaded
@@ -1067,14 +874,10 @@ fn sender_main(args: &[String]) {
             let rate_t = a.rate / threads as f64;
             let seed_t = a.seed ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let (named, cdf, references, path) = (&named, &cdf, &references, a.addr.as_path());
-            let style = a.style;
-            handles.push(scope.spawn(move || match style {
-                LoadStyle::Pipelined => pump_thread(
+            handles.push(scope.spawn(move || {
+                pump_thread(
                     path, n_t, conns_t, a.depth, rate_t, seed_t, named, cdf, references,
-                ),
-                LoadStyle::PerRequest => {
-                    per_request_thread(path, n_t, conns_t, rate_t, seed_t, named, cdf, references)
-                }
+                )
             }));
         }
         for handle in handles {
@@ -1167,7 +970,6 @@ fn run_senders(
     requests: usize,
     conns: usize,
     depth: usize,
-    style: LoadStyle,
     rate: f64,
     procs: usize,
     threads_per_proc: usize,
@@ -1192,8 +994,6 @@ fn run_senders(
             .arg(threads_per_proc.to_string())
             .arg("--depth")
             .arg(depth.to_string())
-            .arg("--style")
-            .arg(style.flag())
             .arg("--seed")
             .arg((seed ^ (p as u64 + 1).wrapping_mul(0xD134_2543_DE82_EF95)).to_string())
             .stdout(Stdio::piped());
@@ -1267,75 +1067,47 @@ fn fold_report(report: &SenderReport, tally: &Tally) {
 
 struct ScalingCell {
     conns: usize,
-    blocking_rps: f64,
     reactor_rps: f64,
 }
 
-/// Sweeps connection counts against both serving paths end to end:
-/// the blocking thread-per-connection server driven by PR 8's
-/// connection-per-request clients (every request pays connect, accept,
-/// and a server thread spawn), versus the reactor driven by persistent
-/// pipelined connections — the exact before/after the tentpole claims
-/// ≥2× on. Closed-loop saturation per cell, multi-process senders.
+/// Sweeps connection counts against the reactor driven by persistent
+/// pipelined connections. Closed-loop saturation per cell, multi-process
+/// senders.
 fn conn_scaling(scale: Scale, tally: &Tally) -> Vec<ScalingCell> {
     let (conn_counts, per_cell_floor) = scaling_counts(scale);
     let procs = sender_procs(scale);
     let mut out = Vec::new();
     for &conns in conn_counts {
         let per_cell = per_cell_floor.max(conns * SCALING_REQS_PER_CONN);
-        let mut blocking_rps = 0.0f64;
-        let mut reactor_rps = 0.0f64;
-        for mode in [ServeMode::Blocking, ServeMode::Reactor] {
-            let path = unique_sock();
-            // The generous read timeout matters for the reactor cells:
-            // at 4096 persistent connections each sees seconds between
-            // frames, which must be idleness, not a timeout disconnect.
-            let (service, server) =
-                start_mode_server(mode, scaling_service(scale), &path, Duration::from_secs(30));
-            let threads = (conns / procs).clamp(1, 8);
-            let seed = SEED ^ ((conns as u64) << 8) ^ u64::from(mode == ServeMode::Reactor);
-            let style = match mode {
-                ServeMode::Blocking => LoadStyle::PerRequest,
-                ServeMode::Reactor => LoadStyle::Pipelined,
-            };
-            let report = run_senders(
-                &path,
-                per_cell,
-                conns,
-                PIPELINE_DEPTH,
-                style,
-                0.0,
-                procs,
-                threads,
-                seed,
-                false,
-            );
-            stop_mode_server(service, server);
-            let _ = std::fs::remove_file(&path);
-            fold_report(&report, tally);
-            assert_eq!(
-                report.failed,
-                0,
-                "{} mode at {} conns must not fail requests",
-                mode.name(),
-                conns
-            );
-            let rps = report.completed as f64 / report.wall.as_secs_f64().max(1e-9);
-            match mode {
-                ServeMode::Blocking => blocking_rps = rps,
-                ServeMode::Reactor => reactor_rps = rps,
-            }
-        }
-        println!(
-            "  {conns:>5} conns: thread-per-conn (conn/request) {blocking_rps:>8.0} rps   \
-             reactor (pipelined) {reactor_rps:>8.0} rps   speedup ×{:.2}",
-            reactor_rps / blocking_rps.max(1e-9),
-        );
-        out.push(ScalingCell {
+        let path = unique_sock();
+        // The generous read timeout matters: at 4096 persistent
+        // connections each sees seconds between frames, which must be
+        // idleness, not a timeout disconnect.
+        let (service, server) =
+            start_server(scaling_service(scale), &path, Duration::from_secs(30));
+        let threads = (conns / procs).clamp(1, 8);
+        let seed = SEED ^ ((conns as u64) << 8) ^ 1;
+        let report = run_senders(
+            &path,
+            per_cell,
             conns,
-            blocking_rps,
-            reactor_rps,
-        });
+            PIPELINE_DEPTH,
+            0.0,
+            procs,
+            threads,
+            seed,
+            false,
+        );
+        stop_server(service, server);
+        let _ = std::fs::remove_file(&path);
+        fold_report(&report, tally);
+        assert_eq!(
+            report.failed, 0,
+            "the reactor at {conns} conns must not fail requests"
+        );
+        let reactor_rps = report.completed as f64 / report.wall.as_secs_f64().max(1e-9);
+        println!("  {conns:>5} conns: reactor (pipelined) {reactor_rps:>8.0} rps");
+        out.push(ScalingCell { conns, reactor_rps });
     }
     out
 }
@@ -1361,26 +1133,20 @@ struct MegaResult {
 }
 
 /// The 10⁶-request open-loop run: multi-process senders offer a seeded
-/// Poisson schedule at ~70% of the measured reactor saturation over
+/// Poisson schedule at ~70% of the measured scaling saturation over
 /// persistent pipelined connections.
 fn mega_open_loop(scale: Scale, reactor_rps: f64, tally: &Tally) -> MegaResult {
     let (total, conns) = mega_counts(scale);
     let procs = sender_procs(scale);
     let rate = (reactor_rps * 0.7).max(200.0);
     let path = unique_sock();
-    let (service, server) = start_mode_server(
-        ServeMode::Reactor,
-        scaling_service(scale),
-        &path,
-        Duration::from_secs(30),
-    );
+    let (service, server) = start_server(scaling_service(scale), &path, Duration::from_secs(30));
     let threads = (conns / procs).clamp(1, 8);
     let report = run_senders(
         &path,
         total,
         conns,
         PIPELINE_DEPTH,
-        LoadStyle::Pipelined,
         rate,
         procs,
         threads,
@@ -1388,7 +1154,7 @@ fn mega_open_loop(scale: Scale, reactor_rps: f64, tally: &Tally) -> MegaResult {
         true,
     );
     let server_stats = server.stats();
-    stop_mode_server(service, server);
+    stop_server(service, server);
     let _ = std::fs::remove_file(&path);
     fold_report(&report, tally);
     let cold_offered: u64 = (1..TENANTS.len()).map(|i| report.per_tenant[i][0]).sum();
@@ -1423,8 +1189,8 @@ struct ChaosResult {
     restart_ok: bool,
     post_chaos_ok: bool,
     /// Post-restart pipelined out-of-order bit-identity over one
-    /// persistent connection; only probed in reactor mode.
-    pipelined_ok: Option<bool>,
+    /// persistent connection.
+    pipelined_ok: bool,
 }
 
 /// Writes `bytes` on a fresh raw connection and drains whatever comes
@@ -1453,23 +1219,17 @@ fn fire_raw(path: &std::path::Path, bytes: &[u8], linger: Option<Duration>) {
 
 fn chaos_matrix(
     scale: Scale,
-    mode: ServeMode,
     path: &std::path::Path,
     random_rounds: usize,
     cells: &[Cell],
     references: &HashMap<(String, usize), Evaluation>,
 ) -> ChaosResult {
-    // The reactor never blocks a thread, so it runs with typed
-    // admission refusals; the blocking server keeps its PR 8 setup.
     let chaos_service = || {
-        let config = ServiceConfig::default().with_workers(2);
-        match mode {
-            ServeMode::Blocking => config,
-            ServeMode::Reactor => config.with_admission(Admission::Reject),
-        }
+        ServiceConfig::default()
+            .with_workers(2)
+            .with_admission(Admission::Reject)
     };
-    let (service, server) =
-        start_mode_server(mode, chaos_service(), path, Duration::from_millis(300));
+    let (service, server) = start_server(chaos_service(), path, Duration::from_millis(300));
     let mut rng = XorShift64::new(SEED ^ 0xC4A0_5EED);
     let mut by_label: Vec<(&'static str, usize)> = ALL_INJECTIONS
         .iter()
@@ -1526,12 +1286,11 @@ fn chaos_matrix(
     std::thread::sleep(Duration::from_millis(400));
 
     let stats = server.stats();
-    stop_mode_server(service, server);
+    stop_server(service, server);
 
     // Server restart on the same path: the next bind must reclaim the
     // socket file and serve again.
-    let (service, server) =
-        start_mode_server(mode, chaos_service(), path, Duration::from_millis(300));
+    let (service, server) = start_server(chaos_service(), path, Duration::from_millis(300));
     let client = load_client(path);
     let cell = cells[0];
     let response = client.call(&net_request(scale, cell, ""));
@@ -1546,9 +1305,8 @@ fn chaos_matrix(
         },
         Err(_) => false,
     };
-    let pipelined_ok =
-        (mode == ServeMode::Reactor).then(|| pipelined_post_chaos(scale, path, cells, references));
-    stop_mode_server(service, server);
+    let pipelined_ok = pipelined_post_chaos(scale, path, cells, references);
+    stop_server(service, server);
 
     ChaosResult {
         rounds: plan.len(),
@@ -1607,14 +1365,15 @@ fn pipelined_post_chaos(
 
 /// Runs one traced request and asserts its causal timeline covers the
 /// full read → decode → queue → warm → encode → respond path.
-fn trace_coverage(scale: Scale, mode: ServeMode, path: &std::path::Path) -> Vec<String> {
+fn trace_coverage(scale: Scale, path: &std::path::Path) -> Vec<String> {
     let previous = imt_obs::mode();
     imt_obs::set_mode(imt_obs::Mode::Trace);
     imt_obs::trace::reset();
     // A fresh service so the first request must warm the profile memo.
-    let (service, server) = start_mode_server(
-        mode,
-        ServiceConfig::default().with_workers(1),
+    let (service, server) = start_server(
+        ServiceConfig::default()
+            .with_workers(1)
+            .with_admission(Admission::Reject),
         path,
         Duration::from_millis(300),
     );
@@ -1630,7 +1389,7 @@ fn trace_coverage(scale: Scale, mode: ServeMode, path: &std::path::Path) -> Vec<
         ))
         .expect("traced request transports");
     assert!(response.outcome.is_ok(), "traced request completes");
-    stop_mode_server(service, server);
+    stop_server(service, server);
     let (events, _dropped) = imt_obs::trace::snapshot();
     imt_obs::set_mode(previous);
 
@@ -1699,6 +1458,7 @@ fn main() {
             .with_admission(Admission::Reject)
             .with_tenant_quota(1024),
         &path,
+        Duration::from_millis(300),
     );
 
     let sat_rps = saturation_probe(scale, &path, probe_n, &cells, &references, &tally);
@@ -1764,48 +1524,43 @@ fn main() {
         quota.cold_share,
     );
 
-    let chaos = chaos_matrix(
-        scale,
-        ServeMode::Blocking,
-        &path,
-        chaos_rounds,
-        &cells,
-        &references,
-    );
+    let chaos = chaos_matrix(scale, &path, chaos_rounds, &cells, &references);
     println!(
-        "\nchaos matrix: {} corruption rounds + {} mid-request disconnects:",
+        "\nchaos matrix (reactor): {} corruption rounds + {} mid-request disconnects:",
         chaos.rounds, chaos.disconnects,
     );
     for (label, n) in &chaos.by_label {
         println!("  {label:<16} ×{n}");
     }
+    let verdict = |ok: bool| if ok { "ok" } else { "FAILED" };
     println!(
         "  server counted {} protocol errors, {} read timeouts; \
-         restart on same path: {}; post-chaos round-trip bit-identical: {}",
+         restart on same path: {}; post-chaos round-trip bit-identical: {}; \
+         pipelined out-of-order: {}",
         chaos.protocol_errors,
         chaos.read_timeouts,
-        if chaos.restart_ok { "ok" } else { "FAILED" },
-        if chaos.post_chaos_ok { "ok" } else { "FAILED" },
+        verdict(chaos.restart_ok),
+        verdict(chaos.post_chaos_ok),
+        verdict(chaos.pipelined_ok),
     );
 
-    let trace_stages = trace_coverage(scale, ServeMode::Blocking, &path);
+    let trace_stages = trace_coverage(scale, &path);
     println!(
-        "\ntrace timeline: one network request covered {}",
+        "\ntrace timeline (reactor): one network request covered {}",
         trace_stages.join(" → "),
     );
 
-    // --------------------------------------- the event-driven phases
     let (_, per_cell_floor) = scaling_counts(scale);
     println!(
         "\nconnection scaling (≥{per_cell_floor} requests/cell, ≥{SCALING_REQS_PER_CONN} \
-         per connection, {} sender processes; blocking = conn-per-request clients, \
-         reactor = persistent ×{PIPELINE_DEPTH} pipelined over {REACTORS} shards):",
+         per connection, {} sender processes, persistent ×{PIPELINE_DEPTH} pipelined \
+         over {REACTORS} shards):",
         sender_procs(scale),
     );
     let scaling = conn_scaling(scale, &tally);
 
-    // The saturation the big open-loop run is paced against: the
-    // reactor's rps at the ≥1024-connection gate cell.
+    // The saturation the big open-loop run is paced against: the rps at
+    // the first ≥1024-connection cell (the widest cell at test scale).
     let reactor_gate_rps = scaling
         .iter()
         .find(|cell| cell.conns >= 1024)
@@ -1839,44 +1594,6 @@ fn main() {
         mega.server_requests,
     );
 
-    let chaos_reactor = chaos_matrix(
-        scale,
-        ServeMode::Reactor,
-        &path,
-        chaos_rounds,
-        &cells,
-        &references,
-    );
-    println!(
-        "\nchaos matrix (reactor): {} rounds + {} disconnects → {} protocol errors, \
-         {} read timeouts; restart: {}; post-chaos: {}; pipelined out-of-order: {}",
-        chaos_reactor.rounds,
-        chaos_reactor.disconnects,
-        chaos_reactor.protocol_errors,
-        chaos_reactor.read_timeouts,
-        if chaos_reactor.restart_ok {
-            "ok"
-        } else {
-            "FAILED"
-        },
-        if chaos_reactor.post_chaos_ok {
-            "ok"
-        } else {
-            "FAILED"
-        },
-        if chaos_reactor.pipelined_ok == Some(true) {
-            "ok"
-        } else {
-            "FAILED"
-        },
-    );
-
-    let trace_reactor = trace_coverage(scale, ServeMode::Reactor, &path);
-    println!(
-        "trace timeline (reactor): one network request covered {}",
-        trace_reactor.join(" → "),
-    );
-
     // ------------------------------------------------------- the gates
     let (offered, completed, rejected, failed) = tally.snapshot();
     let mismatches = tally.mismatches.load(Ordering::Relaxed);
@@ -1903,12 +1620,16 @@ fn main() {
     );
     assert!(
         chaos.read_timeouts >= 1,
-        "slow-loris half-writes must trip the read timeout"
+        "slow-loris half-writes must trip the reactor's mid-frame sweep"
     );
     assert!(chaos.restart_ok, "the server must restart on the same path");
     assert!(
         chaos.post_chaos_ok,
         "a clean request after the chaos matrix must round-trip bit-identically"
+    );
+    assert!(
+        chaos.pipelined_ok,
+        "post-chaos pipelined out-of-order responses must stay bit-identical"
     );
     assert!(
         quota.hot_rejected > 0,
@@ -1922,25 +1643,12 @@ fn main() {
     );
     assert!(sat_rps > 0.0, "saturation throughput must be nonzero");
 
-    // Event-driven front-end gates.
     for cell in &scaling {
         assert!(
-            cell.blocking_rps > 0.0 && cell.reactor_rps > 0.0,
-            "both modes must serve at {} conns",
+            cell.reactor_rps > 0.0,
+            "the reactor must serve at {} conns",
             cell.conns
         );
-    }
-    if scale == Scale::Paper {
-        for cell in scaling.iter().filter(|cell| cell.conns >= 1024) {
-            assert!(
-                cell.reactor_rps >= 2.0 * cell.blocking_rps,
-                "reactor must out-serve thread-per-connection ≥2× at {} conns \
-                 (blocking {:.0} rps, reactor {:.0} rps)",
-                cell.conns,
-                cell.blocking_rps,
-                cell.reactor_rps
-            );
-        }
     }
     assert_eq!(
         mega.offered, mega.requests,
@@ -1950,24 +1658,6 @@ fn main() {
         mega.cold_share >= fair_floor,
         "10⁶-run cold tenants completed only {:.3} of their offered load (floor {fair_floor})",
         mega.cold_share
-    );
-    assert!(
-        chaos_reactor.protocol_errors >= 8,
-        "reactor-mode corruptions must surface as typed protocol errors (got {})",
-        chaos_reactor.protocol_errors
-    );
-    assert!(
-        chaos_reactor.read_timeouts >= 1,
-        "slow-loris half-writes must trip the reactor's mid-frame sweep"
-    );
-    assert!(
-        chaos_reactor.restart_ok && chaos_reactor.post_chaos_ok,
-        "the reactor must restart on the same path and stay bit-identical"
-    );
-    assert_eq!(
-        chaos_reactor.pipelined_ok,
-        Some(true),
-        "post-chaos pipelined out-of-order responses must stay bit-identical"
     );
 
     println!("\nchecks: wrong-word responses over the wire = 0 across {completed} completed");
@@ -1984,15 +1674,6 @@ fn main() {
         "checks: starved-tenant completion share {:.3} >= fair floor {fair_floor}",
         quota.cold_share
     );
-    if scale == Scale::Paper {
-        for cell in scaling.iter().filter(|cell| cell.conns >= 1024) {
-            println!(
-                "checks: reactor speedup x{:.2} >= 2.00 at {} conns",
-                cell.reactor_rps / cell.blocking_rps.max(1e-9),
-                cell.conns
-            );
-        }
-    }
     println!(
         "checks: 10^6-run conservation {} + {} + {} == {} offered, cold share {:.3}",
         mega.completed, mega.rejected, mega.failed, mega.offered, mega.cold_share
@@ -2056,6 +1737,7 @@ fn main() {
                 ("read_timeouts", Json::U64(chaos.read_timeouts)),
                 ("restart_ok", Json::Bool(chaos.restart_ok)),
                 ("post_chaos_ok", Json::Bool(chaos.post_chaos_ok)),
+                ("pipelined_ok", Json::Bool(chaos.pipelined_ok)),
                 ("panics", Json::U64(0)),
             ]),
         ),
@@ -2066,8 +1748,7 @@ fn main() {
         (
             "conn_scaling",
             Json::obj(vec![
-                ("blocking_style", Json::str("conn_per_request")),
-                ("reactor_style", Json::str("persistent_pipelined")),
+                ("style", Json::str("persistent_pipelined")),
                 (
                     "cells",
                     Json::Arr(
@@ -2076,12 +1757,7 @@ fn main() {
                             .map(|cell| {
                                 Json::obj(vec![
                                     ("conns", Json::U64(cell.conns as u64)),
-                                    ("blocking_rps", round(cell.blocking_rps)),
                                     ("reactor_rps", round(cell.reactor_rps)),
-                                    (
-                                        "speedup",
-                                        round(cell.reactor_rps / cell.blocking_rps.max(1e-9)),
-                                    ),
                                 ])
                             })
                             .collect(),
@@ -2112,25 +1788,6 @@ fn main() {
                         ("failed", Json::U64(mega.failed)),
                         ("cold_share", round(mega.cold_share)),
                     ]),
-                ),
-                (
-                    "chaos",
-                    Json::obj(vec![
-                        ("rounds", Json::U64(chaos_reactor.rounds as u64)),
-                        ("protocol_errors", Json::U64(chaos_reactor.protocol_errors)),
-                        ("read_timeouts", Json::U64(chaos_reactor.read_timeouts)),
-                        ("restart_ok", Json::Bool(chaos_reactor.restart_ok)),
-                        ("post_chaos_ok", Json::Bool(chaos_reactor.post_chaos_ok)),
-                        (
-                            "pipelined_ok",
-                            Json::Bool(chaos_reactor.pipelined_ok == Some(true)),
-                        ),
-                        ("panics", Json::U64(0)),
-                    ]),
-                ),
-                (
-                    "trace_stages",
-                    Json::Arr(trace_reactor.iter().map(Json::str).collect()),
                 ),
             ]),
         ),

@@ -214,9 +214,8 @@ pub fn summarize(docs: &BenchDocs) -> Result<Json, String> {
             "net.p999_ms",
             open.and_then(|o| o.get("p999_ms")).and_then(Json::as_f64),
         );
-        // Per-mode: the reactor front-end's saturation and its
-        // 10⁶-request open-loop tail, so an event-loop regression fires
-        // the sentinel independently of the blocking-mode numbers.
+        // The scaling phase's saturation at wide connection counts and
+        // the 10⁶-request open-loop tail, apart from the probe above.
         let reactor = net.get("reactor");
         push(
             "net.reactor.saturation_rps",

@@ -1450,82 +1450,35 @@ pub fn serve(args: &[String]) -> Result<String, CliError> {
 }
 
 /// `imt serve --listen ADDR`: exposes the job service over TCP or a
-/// Unix socket using the `imt-net` wire protocol. With
+/// Unix socket using the `imt-net` wire protocol, served by the epoll
+/// reactor (`--reactors N` event loops, default 2). With
 /// `--for-requests N` the server answers N requests and exits (the
 /// testable mode); without it, it serves until the process is killed.
-/// `--reactor` swaps the thread-per-connection front-end for the epoll
-/// event loop (`--reactors N` shards across N event loops); admission
-/// is forced to typed rejection so the reactor never parks a thread.
+/// Admission is forced to typed rejection: an event loop must never
+/// park on a full queue.
 fn serve_listen(
     opts: &Options<'_>,
     config: imt_serve::service::ServiceConfig,
     addr: &str,
 ) -> Result<String, CliError> {
     use imt_net::reactor::{ReactorConfig, ReactorServer};
-    use imt_net::server::{NetServer, ServerConfig, ServerStatsSnapshot};
     use imt_net::ListenAddr;
     use imt_serve::service::{Admission, Service};
 
-    enum Front {
-        Blocking(NetServer),
-        Reactor(ReactorServer),
-    }
-
-    impl Front {
-        fn stats(&self) -> ServerStatsSnapshot {
-            match self {
-                Front::Blocking(server) => server.stats(),
-                Front::Reactor(server) => server.stats(),
-            }
-        }
-
-        fn local_addr(&self) -> &ListenAddr {
-            match self {
-                Front::Blocking(server) => server.local_addr(),
-                Front::Reactor(server) => server.local_addr(),
-            }
-        }
-
-        fn stop(self) {
-            match self {
-                Front::Blocking(server) => server.stop(),
-                Front::Reactor(server) => server.stop(),
-            }
-        }
-    }
-
     let listen = ListenAddr::parse(addr).map_err(CliError::new)?;
     let for_requests = opts.numeric("--for-requests", 0)?;
-    let reactor = opts.flag("--reactor");
     let reactors = opts.numeric("--reactors", 2)?.max(1) as usize;
-    let config = if reactor {
-        config.with_admission(Admission::Reject)
-    } else {
-        config
-    };
-    let service = std::sync::Arc::new(Service::start(config));
-    let server = if reactor {
-        ReactorServer::start(
-            std::sync::Arc::clone(&service),
-            &listen,
-            ReactorConfig::default().with_reactors(reactors),
-        )
-        .map(Front::Reactor)
-        .map_err(|e| CliError::new(format!("cannot listen on {listen}: {e}")))?
-    } else {
-        NetServer::start(
-            std::sync::Arc::clone(&service),
-            &listen,
-            ServerConfig::default(),
-        )
-        .map(Front::Blocking)
-        .map_err(|e| CliError::new(format!("cannot listen on {listen}: {e}")))?
-    };
+    let service = std::sync::Arc::new(Service::start(config.with_admission(Admission::Reject)));
+    let server = ReactorServer::start(
+        std::sync::Arc::clone(&service),
+        &listen,
+        ReactorConfig::default().with_reactors(reactors),
+    )
+    .map_err(|e| CliError::new(format!("cannot listen on {listen}: {e}")))?;
     // The bound address matters when the caller asked for port 0.
     eprintln!(
-        "imt serve: listening on {} ({})",
-        server.local_addr(),
-        if reactor { "reactor" } else { "blocking" },
+        "imt serve: listening on {} (reactor ×{reactors})",
+        server.local_addr()
     );
     loop {
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -1548,9 +1501,7 @@ fn serve_listen(
         "served {} request(s) over {} ({} connection(s)):\n",
         net.responses, listen, net.connections
     );
-    if reactor {
-        writeln!(out, "  mode: reactor ×{reactors} event loops").expect("write to String");
-    }
+    writeln!(out, "  mode: reactor ×{reactors} event loops").expect("write to String");
     writeln!(
         out,
         "  completed = {}, failed = {}, quota-rejected = {}",
@@ -2234,6 +2185,7 @@ loop:   xor $t1, $t1, $t0\n\
         );
         let summary = server.join().unwrap().unwrap();
         assert!(summary.contains("served 1 request(s)"), "{summary}");
+        assert!(summary.contains("mode: reactor"), "{summary}");
         assert!(summary.contains("completed = 1, failed = 0"), "{summary}");
         assert!(
             summary.contains("submitted = 1, admission hits = 0"),

@@ -111,9 +111,10 @@ commands:
         [--deadline-ms N] [--delivery-ms N] [--tenant-quota N] [--test-scale]
                                    closed-loop load session against the
                                    batched job service; latency report
-  serve --listen <host:port | unix:PATH> [--for-requests N] [pool opts]
-                                   expose the service over the imt-net
-                                   wire protocol (TCP or Unix socket);
+  serve --listen <host:port | unix:PATH> [--for-requests N] [--reactors N]
+        [pool opts]                expose the service over the imt-net
+                                   wire protocol (TCP or Unix socket),
+                                   served by N epoll event loops (2);
                                    --for-requests N answers N then exits
   client <host:port | unix:PATH> [kernels..] [--block-sizes 4,5,..]
          [--tenant T] [--retries N] [--deadline-ms N] [--test-scale]

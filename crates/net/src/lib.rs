@@ -20,29 +20,27 @@
 //!   responses carry the complete [`imt_core::eval::Evaluation`] so a
 //!   client can assert bit-identity end-to-end, and failures travel as
 //!   typed [`msg::RemoteError`]s that survive the wire.
-//! * [`server`] — a blocking TCP/Unix front-end feeding an
-//!   [`imt_serve::service::Service`]: one thread per connection, read
-//!   timeouts as the slow-loris defense, protocol errors answered or
-//!   dropped without ever taking the process down. The server opens
-//!   each request's trace root at frame-read start and hands it to the
-//!   service, so one `IMT_OBS=trace` timeline covers
-//!   read → decode → queue → warm → encode → respond.
-//! * [`client`] — connection-per-request calls with a per-request
-//!   deadline, connection-level timeouts, and jittered exponential
-//!   backoff on *retryable* failures (transport errors and
-//!   overload/quota refusals) — and only for requests marked
-//!   idempotent.
+//! * [`reactor`] — the server: epoll event loops feeding an
+//!   [`imt_serve::service::Service`], zero threads per connection,
+//!   typed backpressure, a mid-frame sweep as the slow-loris defense,
+//!   and protocol errors answered or dropped without ever taking the
+//!   process down. Each request's trace root opens as its frame is
+//!   read, so one `IMT_OBS=trace` timeline covers
+//!   read → decode → queue → warm → encode → respond → write.
+//! * [`pool`] — the client: persistent, pipelined connections and a
+//!   checkout pool whose `call` carries a per-call deadline and retries
+//!   only idempotent requests, after transport errors (on a fresh
+//!   connection) and overload/quota refusals, with jittered
+//!   exponential backoff.
 //! * [`chaos`] — deterministic frame corruption used by the transport
 //!   fault harness (`exp_net`) and the protocol tests.
 
 #![warn(clippy::unwrap_used)]
 
 pub mod chaos;
-pub mod client;
 pub mod msg;
 pub mod pool;
 pub mod reactor;
-pub mod server;
 pub mod wire;
 
 use std::fmt;

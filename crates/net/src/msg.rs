@@ -15,8 +15,13 @@
 //! distinguish a retryable refusal (overload, quota) from a permanent
 //! one without parsing strings.
 
+use std::time::Duration;
+
 use imt_core::eval::{EvalNeeds, EvalPath, Evaluation, FullSimReason};
-use imt_serve::request::{Completed, FaultSummary, Response};
+use imt_core::{EncoderConfig, Protection};
+use imt_fault::plan::FaultPlan;
+use imt_kernels::Kernel;
+use imt_serve::request::{Completed, FaultSummary, Request, Response};
 use imt_serve::ServeError;
 
 use crate::wire::{Reader, WireError, Writer};
@@ -179,6 +184,63 @@ impl NetRequest {
             scheme,
         })
     }
+}
+
+/// Resolves a wire request into a service [`Request`], or a
+/// human-readable refusal. Kernels resolve against the registry —
+/// arbitrary source never crosses the wire.
+///
+/// A registry kernel is resolved once per process into a shared `Arc`
+/// ([`Kernel::shared_spec`]), so a request costs no source generation
+/// and no golden-model run. The golden check runs when the service
+/// warms a profile: it compares the recorded output with the spec's
+/// expected output.
+pub(crate) fn build_request(net: &NetRequest) -> Result<Request, String> {
+    let kernel = Kernel::ALL
+        .iter()
+        .copied()
+        .find(|k| k.name() == net.kernel)
+        .ok_or_else(|| format!("unknown kernel `{}`", net.kernel))?;
+    let spec = kernel.shared_spec(net.test_scale);
+    let mut config = EncoderConfig::default();
+    if net.block_size > 0 {
+        config = config
+            .with_block_size(net.block_size as usize)
+            .map_err(|e| format!("bad block size: {e}"))?;
+    }
+    if net.tt_capacity > 0 {
+        config = config.with_tt_capacity(net.tt_capacity as usize);
+    }
+    if net.bbit_capacity > 0 {
+        config = config.with_bbit_capacity(net.bbit_capacity as usize);
+    }
+    let mut request = Request::new(spec, config);
+    request.scheme = imt_core::scheme::SchemeSpec::parse(&net.scheme)
+        .ok_or_else(|| format!("unknown scheme `{}`", net.scheme))?;
+    request.needs = EvalNeeds {
+        icache: net.needs.icache,
+        timing: net.needs.timing,
+        address_bus: net.needs.address_bus,
+    };
+    if net.deadline_ms > 0 {
+        request.deadline = Some(Duration::from_millis(u64::from(net.deadline_ms)));
+    }
+    if !net.fault_plan.is_empty() {
+        let plan = FaultPlan::parse(&net.fault_plan).map_err(|e| format!("bad fault plan: {e}"))?;
+        let protection = Protection::parse(&net.protection)
+            .ok_or_else(|| format!("unknown protection `{}`", net.protection))?;
+        request = request.with_faults(plan, protection);
+    } else if Protection::parse(&net.protection).is_none() {
+        return Err(format!("unknown protection `{}`", net.protection));
+    }
+    if net.fault_window > 0 {
+        request.fault_window = net.fault_window as usize;
+    }
+    request.panic_in_worker = net.panic_in_worker;
+    if !net.tenant.is_empty() {
+        request = request.with_tenant(net.tenant.clone());
+    }
+    Ok(request)
 }
 
 fn decode_bool(r: &mut Reader<'_>, field: &str) -> Result<bool, WireError> {
@@ -899,5 +961,85 @@ mod tests {
             capacity: 8,
         };
         assert!(RemoteError::from_serve(&e).is_retryable());
+    }
+
+    #[test]
+    fn build_request_resolves_registry_kernels_only() {
+        let net = NetRequest::new("mmul", true);
+        let request = build_request(&net).expect("mmul resolves");
+        assert_eq!(request.spec.name, "mmul-8");
+        assert!(request.tenant.is_none());
+
+        let err = build_request(&NetRequest::new("quux", true)).expect_err("unknown kernel");
+        assert!(err.contains("quux"), "{err}");
+    }
+
+    #[test]
+    fn build_request_shares_one_spec_per_registry_kernel() {
+        for test_scale in [true, false] {
+            let first = build_request(&NetRequest::new("tri", test_scale)).expect("builds");
+            let second = build_request(&NetRequest::new("tri", test_scale).with_scheme("gray"))
+                .expect("builds");
+            assert!(
+                std::sync::Arc::ptr_eq(&first.spec, &second.spec),
+                "test_scale={test_scale}: the spec was rebuilt for a request"
+            );
+        }
+    }
+
+    #[test]
+    fn build_request_types_bad_parameters() {
+        let mut net = NetRequest::new("tri", true);
+        net.block_size = 1; // below the encoder's minimum of 2
+        assert!(build_request(&net)
+            .expect_err("bad k")
+            .contains("block size"));
+
+        let mut net = NetRequest::new("tri", true);
+        net.fault_plan = "not-a-plan".into();
+        assert!(build_request(&net)
+            .expect_err("bad plan")
+            .contains("fault plan"));
+
+        let mut net = NetRequest::new("tri", true);
+        net.protection = "quantum".into();
+        assert!(build_request(&net)
+            .expect_err("bad protection")
+            .contains("quantum"));
+
+        let mut net = NetRequest::new("tri", true);
+        net.scheme = "rot13".into();
+        assert!(build_request(&net)
+            .expect_err("bad scheme")
+            .contains("unknown scheme `rot13`"));
+    }
+
+    #[test]
+    fn build_request_carries_the_scheme() {
+        use imt_core::scheme::SchemeSpec;
+        // Empty (the wire default) and "tt" both mean the paper pipeline.
+        let request = build_request(&NetRequest::new("tri", true)).expect("builds");
+        assert_eq!(request.scheme, SchemeSpec::TtBbit);
+        let request =
+            build_request(&NetRequest::new("tri", true).with_scheme("tt")).expect("builds");
+        assert_eq!(request.scheme, SchemeSpec::TtBbit);
+        let request =
+            build_request(&NetRequest::new("tri", true).with_scheme("businvert")).expect("builds");
+        assert_eq!(request.scheme, SchemeSpec::BusInvert);
+    }
+
+    #[test]
+    fn build_request_carries_tenant_deadline_and_faults() {
+        let mut net = NetRequest::new("fft", true).with_tenant("acme");
+        net.deadline_ms = 1500;
+        net.fault_plan = "10:bus:3".into();
+        net.protection = "parity".into();
+        net.fault_window = 512;
+        let request = build_request(&net).expect("builds");
+        assert_eq!(request.tenant.as_deref(), Some("acme"));
+        assert_eq!(request.deadline, Some(Duration::from_millis(1500)));
+        assert!(request.fault_plan.is_some());
+        assert_eq!(request.protection, Protection::Parity);
+        assert_eq!(request.fault_window, 512);
     }
 }

@@ -1,8 +1,5 @@
-//! Persistent connections, pipelining, and the client-side pool.
-//!
-//! [`crate::client::Client`] opens a fresh connection per call — the
-//! simplest failure domain, but the per-request connect/teardown now
-//! costs more than the codec does. This module amortises setup:
+//! The client: persistent connections, pipelining, and a checkout
+//! pool with one retry policy.
 //!
 //! * [`PersistentClient`] holds one connection across many exchanges,
 //!   either strictly sequential ([`PersistentClient::call`]) or
@@ -18,17 +15,47 @@
 //! * [`ClientPool`] is checkout/checkin with a health check on reuse
 //!   (a nonblocking probe read distinguishes "idle and healthy" from
 //!   "peer closed while shelved") and bounded idle retention.
-//!   [`ClientPool::call`] adds the same idempotent-only retry rule the
-//!   per-request client enforces, each retry on a *fresh* connection.
+//!
+//! [`ClientPool::call`] retries by three rules:
+//!
+//! 1. **Only idempotent requests retry.** [`NetRequest::idempotent`] is
+//!    the caller's own declaration; a non-idempotent request returns its
+//!    first transport error or refusal rather than risk double
+//!    execution.
+//! 2. **Only retryable failures retry**: transport errors (the request
+//!    may never have arrived), each retried on a fresh connection, and
+//!    the server's explicit back-off refusals
+//!    ([`crate::msg::RemoteError::is_retryable`] — overload and quota).
+//!    A typed permanent failure returns immediately.
+//! 3. **The deadline always wins.** TCP connect timeouts, socket
+//!    timeouts and backoff sleeps are clamped to the remaining budget,
+//!    and no attempt starts past the deadline. When the budget runs out,
+//!    the last refusal comes back as data. (A Unix-socket connect takes
+//!    no timeout: it blocks while the listener's backlog is full.)
+//!
+//! Each failed attempt is followed by an exponential backoff (10 ms
+//! doubling up to 500 ms) with multiplicative jitter in `[0.5, 1.5)`
+//! from a per-pool xorshift stream, seeded from the standard library's
+//! random hash keys, so a thousand clients refused by the same
+//! overloaded server do not reconverge on the same retry instant.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::io::{self, Read, Write};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use crate::chaos::XorShift64;
 use crate::msg::{NetRequest, NetResponse};
 use crate::wire::{Frame, FrameDecoder, FrameKind, WireError};
 use crate::{ListenAddr, NetError};
+
+/// The first backoff sleep of [`ClientPool::call`]; it doubles after
+/// each further failed attempt.
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+
+/// The longest nominal backoff sleep of [`ClientPool::call`].
+const BACKOFF_CAP: Duration = Duration::from_millis(500);
 
 /// One stream, either transport.
 #[derive(Debug)]
@@ -109,12 +136,15 @@ impl Write for ClientSock {
 /// Knobs for persistent connections and the pool.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Per-socket read/write timeout for each exchange step.
+    /// Per-socket read/write timeout for each exchange step, and the
+    /// connect timeout for TCP; [`ClientPool::call`] clamps both to the
+    /// remaining deadline.
     pub io_timeout: Duration,
-    /// Total budget for one [`ClientPool::call`] including retries.
+    /// Total budget for one [`ClientPool::call`]: connects, exchanges
+    /// and backoff sleeps.
     pub deadline: Duration,
-    /// Additional fresh-connection attempts after the first for
-    /// idempotent requests in [`ClientPool::call`].
+    /// Additional attempts after the first for idempotent requests in
+    /// [`ClientPool::call`] (so `retries: 3` means at most 4 attempts).
     pub retries: u32,
     /// Connections the pool keeps shelved; extras close on checkin.
     pub max_idle: usize,
@@ -440,15 +470,22 @@ pub struct ClientPool {
     addr: ListenAddr,
     config: PoolConfig,
     idle: Mutex<Vec<PersistentClient>>,
+    /// Backoff jitter; any state is a valid one, so a poisoned lock is
+    /// recovered.
+    jitter: Mutex<XorShift64>,
 }
 
 impl ClientPool {
     /// Builds an (initially empty) pool for `addr`.
     pub fn new(addr: ListenAddr, config: PoolConfig) -> ClientPool {
+        let seed = std::collections::hash_map::RandomState::new()
+            .build_hasher()
+            .finish();
         ClientPool {
             addr,
             config,
             idle: Mutex::new(Vec::new()),
+            jitter: Mutex::new(XorShift64::new(seed)),
         }
     }
 
@@ -472,6 +509,10 @@ impl ClientPool {
     /// [`NetError::Wire`] when a fresh connection was needed and the
     /// connect failed.
     pub fn checkout(&self) -> Result<PooledConn<'_>, NetError> {
+        self.checkout_within(self.config.io_timeout)
+    }
+
+    fn checkout_within(&self, timeout: Duration) -> Result<PooledConn<'_>, NetError> {
         loop {
             let shelved = self.idle.lock().unwrap_or_else(|e| e.into_inner()).pop();
             match shelved {
@@ -484,20 +525,25 @@ impl ClientPool {
                     }
                     // Unhealthy: drop it and try the next shelf slot.
                 }
-                None => {
-                    let conn = PersistentClient::connect(&self.addr, self.config.io_timeout)?;
-                    return Ok(PooledConn {
-                        pool: self,
-                        conn: Some(conn),
-                    });
-                }
+                None => return self.connect(timeout),
             }
         }
     }
 
-    /// One request over a pooled connection, with the client's retry
-    /// rules: only idempotent requests retry, only on transport errors,
-    /// each retry on a fresh connection, and the deadline always wins.
+    /// A fresh connection, bypassing the shelf.
+    fn connect(&self, timeout: Duration) -> Result<PooledConn<'_>, NetError> {
+        Ok(PooledConn {
+            pool: self,
+            conn: Some(PersistentClient::connect(&self.addr, timeout)?),
+        })
+    }
+
+    /// One request over a pooled connection, retried by the module's
+    /// rules. A response whose `outcome` is a typed
+    /// [`crate::msg::RemoteError`] is still `Ok` here — the wire worked;
+    /// a refusal the server will never un-refuse comes back at once, and
+    /// a retryable one is retried until the budget runs out, when it
+    /// too comes back as data.
     ///
     /// # Errors
     ///
@@ -507,35 +553,63 @@ impl ClientPool {
         let started = Instant::now();
         let max_attempts = self.config.retries.saturating_add(1);
         let mut attempts = 0u32;
-        let mut last_err: Option<NetError> = None;
+        // What the last attempt produced is what the caller gets: a
+        // retryable refusal as `Ok` data, a transport failure as the
+        // retry-exhausted error.
+        let mut last: Option<Result<NetResponse, NetError>> = None;
         while attempts < max_attempts {
-            let Some(remaining) = self.config.deadline.checked_sub(started.elapsed()) else {
-                break;
+            let remaining = match self.config.deadline.checked_sub(started.elapsed()) {
+                Some(remaining) if !remaining.is_zero() => remaining,
+                _ => break,
             };
-            if remaining.is_zero() {
-                break;
-            }
             attempts += 1;
-            let outcome = self.checkout().and_then(|mut conn| {
-                conn.set_io_timeout(self.config.io_timeout.min(remaining))?;
+            let timeout = self.config.io_timeout.min(remaining);
+            // A transport error poisoned (and so dropped) its connection;
+            // its retry dials instead of trusting another shelved one.
+            let conn = match &last {
+                Some(Err(_)) => self.connect(timeout),
+                _ => self.checkout_within(timeout),
+            };
+            let outcome = conn.and_then(|mut conn| {
+                conn.set_io_timeout(timeout)?;
                 conn.call(request)
             });
-            match outcome {
-                Ok(response) => return Ok(response),
-                Err(e) => {
-                    if !request.idempotent {
-                        return Err(e);
-                    }
-                    last_err = Some(e);
-                }
+            let retryable = match &outcome {
+                Ok(response) => matches!(&response.outcome, Err(e) if e.is_retryable()),
+                Err(_) => true,
+            };
+            if !retryable || !request.idempotent {
+                return outcome;
+            }
+            last = Some(outcome);
+            if attempts >= max_attempts || !self.backoff(attempts, started) {
+                break;
             }
         }
-        match last_err {
-            Some(e) => Err(NetError::RetriesExhausted {
+        match last {
+            Some(Ok(refusal)) => Ok(refusal),
+            Some(Err(e)) => Err(NetError::RetriesExhausted {
                 attempts,
                 last: Box::new(e),
             }),
             None => Err(NetError::DeadlineExceeded { attempts }),
+        }
+    }
+
+    /// Sleeps the jittered exponential backoff after failed attempt
+    /// `attempt` (1-based). Returns `false`, without sleeping, when the
+    /// deadline leaves no room to back off and try again.
+    fn backoff(&self, attempt: u32, started: Instant) -> bool {
+        let exp = attempt.saturating_sub(1).min(16);
+        let nominal = BACKOFF_BASE.saturating_mul(1u32 << exp).min(BACKOFF_CAP);
+        let unit = self.jitter.lock().unwrap_or_else(|e| e.into_inner()).unit();
+        let jittered = nominal.mul_f64(0.5 + unit);
+        match self.config.deadline.checked_sub(started.elapsed()) {
+            Some(remaining) if remaining > jittered => {
+                std::thread::sleep(jittered);
+                true
+            }
+            _ => false,
         }
     }
 

@@ -1,20 +1,25 @@
-//! The event-driven server front-end: an epoll reactor instead of a
-//! thread per connection.
+//! The server front-end: an epoll reactor, with zero threads per
+//! connection.
 //!
-//! The blocking [`crate::server::NetServer`] spends one OS thread per
-//! connection, parked in `read()` or in [`imt_serve::Ticket::wait`].
-//! That is simple and correct, but at 1024+ persistent connections the
-//! scheduler — not the codec, not the workers — becomes the bottleneck:
-//! every request costs a handful of context switches. The reactor keeps
-//! *zero* threads per connection:
+//! A thread per connection, parked in `read()` or in
+//! [`imt_serve::Ticket::wait`], is simple, but at 1024+ persistent
+//! connections the scheduler — not the codec, not the workers — becomes
+//! the bottleneck: every request costs a handful of context switches.
+//! The reactor instead keeps every connection on a few event loops:
 //!
 //! * **One epoll instance per reactor thread** (N-way sharded; accepted
 //!   sockets are dealt round-robin) owns every connection socket plus an
 //!   `eventfd` waker.
 //! * **Per-connection state machines** decode incrementally with
 //!   [`FrameDecoder`] — partial frames simply wait for more bytes, and
-//!   every declared length is bounded *before* allocation, exactly as on
-//!   the blocking path.
+//!   every declared length is bounded *before* allocation, exactly as in
+//!   [`Frame::read_from`].
+//! * **Protocol errors never take the process down.** A frame that
+//!   fails to decode is answered with a typed
+//!   [`RemoteError::BadRequest`] when the stream is still framed
+//!   (payload-level errors), or the connection is dropped when it is
+//!   not (bad magic, truncation) — either way it lands in
+//!   [`ServerStatsSnapshot`], not in a panic.
 //! * **Completions are callbacks, not parked threads.** Submission arms
 //!   [`imt_serve::Ticket::on_ready`]; the worker's fulfill encodes the
 //!   response frame and hands it to the owning reactor through a
@@ -22,18 +27,22 @@
 //!   A request the service answers at admission (a result-memo hit) needs
 //!   no callback: its ticket is ready when `submit` returns, and the
 //!   reactor queues the response in the same wake.
-//! * **Backpressure is typed, never blocking.** The service should run
-//!   [`imt_serve::service::Admission::Reject`] under a reactor: a full
-//!   queue yields a typed `Overloaded` refusal written back on the
-//!   wire. On top of that, a connection with too many in-flight
-//!   requests or too many unflushed response bytes has its read
-//!   interest dropped — pipelining pressure propagates to the peer's
-//!   TCP window instead of into unbounded queues.
+//! * **Backpressure is typed, never blocking.** The service must run
+//!   [`Admission::Reject`], and [`ReactorServer::start`] refuses one
+//!   that does not: a full queue yields a typed `Overloaded` refusal
+//!   written back on the wire. On top of that, a connection with too
+//!   many in-flight requests or too many unflushed response bytes has
+//!   its read interest dropped — pipelining pressure propagates to the
+//!   peer's TCP window instead of into unbounded queues.
 //! * **Slow-loris dies by sweep.** A connection holding a *partial*
 //!   frame longer than `read_timeout` is disconnected (a
-//!   `read_timeouts` stat, as on the blocking path). Idle connections
-//!   at a frame boundary are left alone — that is what makes pooled
-//!   persistent connections cheap to keep open.
+//!   `read_timeouts` stat). Idle connections at a frame boundary are
+//!   left alone — that is what makes pooled persistent connections
+//!   cheap to keep open.
+//! * **Traces start at the socket.** When `IMT_OBS=trace` is on, each
+//!   request's trace root opens as its frame is read and travels with
+//!   the request into the service, so one timeline covers
+//!   read → decode → queue → warm → encode → respond → write.
 //!
 //! The epoll/eventfd bindings are raw `extern "C"` declarations against
 //! the libc `std` already links — no new dependency, consistent with
@@ -42,15 +51,14 @@
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use imt_serve::service::Service;
+use imt_serve::service::{Admission, Service};
 
-use crate::msg::{NetRequest, NetResponse, RemoteError};
-use crate::server::{build_request, ServerStats, ServerStatsSnapshot};
+use crate::msg::{build_request, NetRequest, NetResponse, RemoteError};
 use crate::wire::{Frame, FrameDecoder, FrameKind};
 use crate::ListenAddr;
 
@@ -270,6 +278,57 @@ impl ReactorConfig {
 }
 
 // ---------------------------------------------------------------------
+// Transport counters
+// ---------------------------------------------------------------------
+
+/// Counters the transport layer keeps, one step removed from the
+/// service's own stats: what happened on the wire before (or instead
+/// of) a job existing.
+#[derive(Debug, Default)]
+struct ServerStats {
+    connections: AtomicU64,
+    requests: AtomicU64,
+    responses: AtomicU64,
+    protocol_errors: AtomicU64,
+    bad_requests: AtomicU64,
+    read_timeouts: AtomicU64,
+}
+
+/// A point-in-time copy of the reactor's transport counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServerStatsSnapshot {
+    /// Connections accepted.
+    pub connections: u64,
+    /// Request frames decoded and submitted.
+    pub requests: u64,
+    /// Responses queued for writing.
+    pub responses: u64,
+    /// Frames refused at the protocol layer (bad magic, version,
+    /// truncation, checksum, oversize) — each one a typed
+    /// [`crate::wire::WireError`], each one dropping only its own
+    /// connection.
+    pub protocol_errors: u64,
+    /// Well-framed payloads that did not name a servable job (unknown
+    /// kernel, bad plan) — answered with [`RemoteError::BadRequest`].
+    pub bad_requests: u64,
+    /// Connections dropped by the mid-frame sweep (slow-loris defense).
+    pub read_timeouts: u64,
+}
+
+impl ServerStats {
+    fn snapshot(&self) -> ServerStatsSnapshot {
+        ServerStatsSnapshot {
+            connections: self.connections.load(Ordering::Relaxed),
+            requests: self.requests.load(Ordering::Relaxed),
+            responses: self.responses.load(Ordering::Relaxed),
+            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
+            bad_requests: self.bad_requests.load(Ordering::Relaxed),
+            read_timeouts: self.read_timeouts.load(Ordering::Relaxed),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Sockets
 // ---------------------------------------------------------------------
 
@@ -465,9 +524,9 @@ const WAKER_TOKEN: u64 = 0;
 /// The running reactor server: one accept thread dealing sockets to N
 /// epoll event loops, all feeding the shared [`Service`].
 ///
-/// Run the service with [`imt_serve::service::Admission::Reject`]: the
-/// reactor never blocks, so a full queue must be a typed refusal rather
-/// than a parked thread.
+/// The service must run [`Admission::Reject`]: the reactor never blocks,
+/// so a full queue must be a typed refusal rather than a parked event
+/// loop.
 pub struct ReactorServer {
     stop: Arc<AtomicBool>,
     stats: Arc<ServerStats>,
@@ -484,12 +543,22 @@ impl ReactorServer {
     ///
     /// # Errors
     ///
-    /// Propagates socket bind and epoll/eventfd creation errors.
+    /// [`io::ErrorKind::InvalidInput`] when the service blocks admission
+    /// ([`Admission::Block`]): one full queue would park a whole event
+    /// loop inside `submit`, stalling every connection it owns. Otherwise
+    /// propagates socket bind and epoll/eventfd creation errors.
     pub fn start(
         service: Arc<Service>,
         addr: &ListenAddr,
         config: ReactorConfig,
     ) -> io::Result<ReactorServer> {
+        if service.admission() == Admission::Block {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "the reactor needs a service with Admission::Reject: \
+                 a blocking submit would stall a whole event loop",
+            ));
+        }
         enum Acceptor {
             Tcp(std::net::TcpListener),
             Unix(std::os::unix::net::UnixListener),
@@ -594,7 +663,7 @@ impl ReactorServer {
         &self.local_addr
     }
 
-    /// Transport-layer counters (same schema as the blocking server).
+    /// Transport-layer counters.
     pub fn stats(&self) -> ServerStatsSnapshot {
         self.stats.snapshot()
     }

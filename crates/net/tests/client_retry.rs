@@ -1,16 +1,17 @@
-//! Client retry-policy tests against scripted fake servers: retries are
-//! bounded, jittered-backoff sleeps respect the deadline, and
-//! non-idempotent requests never retry.
+//! `ClientPool::call` retry-policy tests against scripted fake servers:
+//! retries are bounded, jittered-backoff sleeps respect the deadline,
+//! retryable refusals are retried and the last one comes back as data,
+//! and non-idempotent requests never retry.
 
 use std::io::Read;
-use std::os::unix::net::UnixListener;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use imt_net::client::{Client, ClientConfig};
 use imt_net::msg::{NetRequest, NetResponse, RemoteError};
+use imt_net::pool::{ClientPool, PoolConfig};
 use imt_net::wire::{Frame, FrameKind};
 use imt_net::{ListenAddr, NetError};
 
@@ -25,7 +26,7 @@ fn unique_sock(tag: &str) -> PathBuf {
 /// A scripted peer: counts connections and runs `script` on each.
 fn fake_server(
     tag: &str,
-    script: impl Fn(u64, std::os::unix::net::UnixStream) + Send + 'static,
+    script: impl Fn(u64, UnixStream) + Send + 'static,
 ) -> (PathBuf, Arc<AtomicU64>) {
     let path = unique_sock(tag);
     let listener = UnixListener::bind(&path).expect("bind");
@@ -42,20 +43,52 @@ fn fake_server(
     (path, accepts)
 }
 
+/// A peer that answers every request frame, on any connection, with
+/// `answer(n)` for its `n`-th request (1-based). Returns the socket path
+/// and the count of requests answered.
+fn refusing_server(
+    tag: &str,
+    answer: impl Fn(u64) -> RemoteError + Send + 'static,
+) -> (PathBuf, Arc<AtomicU64>) {
+    let answered = Arc::new(AtomicU64::new(0));
+    let counter = Arc::clone(&answered);
+    let (path, _) = fake_server(tag, move |_, mut conn| {
+        while let Ok(frame) = Frame::read_from(&mut conn) {
+            let n = counter.fetch_add(1, Ordering::SeqCst) + 1;
+            let response = NetResponse::refusal(frame.request_id, "tri", answer(n));
+            let written = Frame::new(FrameKind::Response, frame.request_id, response.encode())
+                .expect("frame")
+                .write_to(&mut conn);
+            if written.is_err() {
+                break;
+            }
+        }
+    });
+    (path, answered)
+}
+
+fn pool(path: PathBuf, deadline: Duration, retries: u32) -> ClientPool {
+    let mut config = PoolConfig::default().with_deadline(deadline);
+    config.retries = retries;
+    ClientPool::new(ListenAddr::Unix(path), config)
+}
+
+fn quota_refusal() -> RemoteError {
+    RemoteError::QuotaExceeded {
+        tenant: "acme".into(),
+        in_flight: 1,
+        limit: 1,
+    }
+}
+
 #[test]
 fn non_idempotent_requests_never_retry() {
     // Every connection is slammed shut — a transport error each time.
     let (path, accepts) = fake_server("noretry", |_, conn| drop(conn));
-    let client = Client::new(
-        ListenAddr::Unix(path),
-        ClientConfig::default()
-            .with_deadline(Duration::from_secs(10))
-            .with_retries(5)
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(5)),
-    );
+    let pool = pool(path, Duration::from_secs(10), 5);
     let mut request = NetRequest::new("tri", true);
     request.idempotent = false;
-    let err = client.call(&request).expect_err("transport fails");
+    let err = pool.call(&request).expect_err("transport fails");
     assert!(matches!(err, NetError::Wire(_)), "got {err:?}");
     // Exactly one connection: the failure was not retried.
     std::thread::sleep(Duration::from_millis(50));
@@ -65,14 +98,8 @@ fn non_idempotent_requests_never_retry() {
 #[test]
 fn idempotent_requests_retry_exactly_the_budget() {
     let (path, accepts) = fake_server("budget", |_, conn| drop(conn));
-    let client = Client::new(
-        ListenAddr::Unix(path),
-        ClientConfig::default()
-            .with_deadline(Duration::from_secs(10))
-            .with_retries(3)
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(5)),
-    );
-    let err = client
+    let pool = pool(path, Duration::from_secs(10), 3);
+    let err = pool
         .call(&NetRequest::new("tri", true))
         .expect_err("all attempts fail");
     match err {
@@ -101,14 +128,8 @@ fn a_transient_failure_is_retried_to_success() {
             .write_to(&mut conn)
             .expect("write");
     });
-    let client = Client::new(
-        ListenAddr::Unix(path),
-        ClientConfig::default()
-            .with_deadline(Duration::from_secs(10))
-            .with_retries(3)
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(5)),
-    );
-    let response = client
+    let pool = pool(path, Duration::from_secs(10), 3);
+    let response = pool
         .call(&NetRequest::new("tri", true))
         .expect("second attempt succeeds");
     assert_eq!(response.outcome, Err(RemoteError::Cancelled));
@@ -128,14 +149,13 @@ fn the_deadline_bounds_the_whole_retry_loop() {
             }
         }
     });
-    let mut config = ClientConfig::default()
+    let mut config = PoolConfig::default()
         .with_deadline(Duration::from_millis(400))
-        .with_retries(50)
-        .with_backoff(Duration::from_millis(1), Duration::from_millis(5));
-    config.io_timeout = Duration::from_millis(100);
-    let client = Client::new(ListenAddr::Unix(path), config);
+        .with_io_timeout(Duration::from_millis(100));
+    config.retries = 50;
+    let pool = ClientPool::new(ListenAddr::Unix(path), config);
     let started = Instant::now();
-    let err = client
+    let err = pool
         .call(&NetRequest::new("tri", true))
         .expect_err("deadline fires");
     let elapsed = started.elapsed();
@@ -154,14 +174,12 @@ fn the_deadline_bounds_the_whole_retry_loop() {
 
 #[test]
 fn an_unreachable_server_fails_typed() {
-    let client = Client::new(
-        ListenAddr::Unix(PathBuf::from("/nonexistent/imt-net.sock")),
-        ClientConfig::default()
-            .with_deadline(Duration::from_secs(2))
-            .with_retries(1)
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(2)),
+    let pool = pool(
+        PathBuf::from("/nonexistent/imt-net.sock"),
+        Duration::from_secs(2),
+        1,
     );
-    let err = client
+    let err = pool
         .call(&NetRequest::new("tri", true))
         .expect_err("nothing listens");
     assert!(
@@ -171,4 +189,47 @@ fn an_unreachable_server_fails_typed() {
         ),
         "got {err:?}"
     );
+}
+
+#[test]
+fn an_overload_refusal_is_retried_and_the_next_answer_returned() {
+    let (path, answered) = refusing_server("overload", |n| match n {
+        1 => RemoteError::Overloaded {
+            depth: 1,
+            capacity: 1,
+        },
+        _ => RemoteError::Cancelled,
+    });
+    let pool = pool(path, Duration::from_secs(10), 3);
+    let response = pool
+        .call(&NetRequest::new("tri", true))
+        .expect("transport works");
+    assert_eq!(response.outcome, Err(RemoteError::Cancelled));
+    assert_eq!(answered.load(Ordering::SeqCst), 2, "one retry, then done");
+}
+
+#[test]
+fn the_last_quota_refusal_comes_back_as_data_when_the_budget_is_spent() {
+    let (path, answered) = refusing_server("quota-spent", |_| quota_refusal());
+    let pool = pool(path, Duration::from_secs(10), 2);
+    let response = pool
+        .call(&NetRequest::new("tri", true))
+        .expect("a refusal is data, not a transport error");
+    assert_eq!(response.outcome, Err(quota_refusal()));
+    assert_eq!(
+        answered.load(Ordering::SeqCst),
+        3,
+        "retries(2) = 3 attempts"
+    );
+}
+
+#[test]
+fn a_non_idempotent_request_gets_its_refusal_on_the_first_attempt() {
+    let (path, answered) = refusing_server("quota-once", |_| quota_refusal());
+    let pool = pool(path, Duration::from_secs(10), 5);
+    let mut request = NetRequest::new("tri", true);
+    request.idempotent = false;
+    let response = pool.call(&request).expect("transport works");
+    assert_eq!(response.outcome, Err(quota_refusal()));
+    assert_eq!(answered.load(Ordering::SeqCst), 1);
 }

@@ -1,14 +1,15 @@
 //! End-to-end tests for the epoll reactor front-end and the persistent
 //! pipelined client/pool: bit-identity against serial evaluation,
-//! out-of-order pipelined completion, typed backpressure, the full
-//! chaos matrix (every injection a typed outcome, zero panics), and
-//! pool reuse semantics across a server restart.
+//! out-of-order pipelined completion, typed backpressure, typed bad
+//! requests and tenant quotas, the full chaos matrix (every injection a
+//! typed outcome, zero panics), abandoned requests, the pool's retry of
+//! refusals, and pool reuse semantics across a server restart.
 
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use imt_bench::runner::kernel_profile;
 use imt_core::eval::{evaluate_auto, EvalNeeds, EvalPath};
@@ -78,8 +79,12 @@ fn serial_reference(kernel: Kernel, block_size: usize) -> imt_core::eval::Evalua
 
 #[test]
 fn reactor_round_trip_is_bit_identical_to_serial() {
-    let (service, server, path) =
-        start_reactor("roundtrip", ServiceConfig::default().with_workers(2));
+    let (service, server, path) = start_reactor(
+        "roundtrip",
+        ServiceConfig::default()
+            .with_workers(2)
+            .with_admission(Admission::Reject),
+    );
     let mut conn = persistent(&path);
 
     let response = conn
@@ -104,7 +109,11 @@ fn reactor_round_trip_is_bit_identical_to_serial() {
 
 #[test]
 fn reactor_tcp_round_trip_works_on_an_ephemeral_port() {
-    let service = Arc::new(Service::start(ServiceConfig::default().with_workers(2)));
+    let service = Arc::new(Service::start(
+        ServiceConfig::default()
+            .with_workers(2)
+            .with_admission(Admission::Reject),
+    ));
     let server = ReactorServer::start(
         Arc::clone(&service),
         &ListenAddr::Tcp("127.0.0.1:0".to_string()),
@@ -124,8 +133,12 @@ fn reactor_tcp_round_trip_works_on_an_ephemeral_port() {
 #[test]
 fn pipelined_requests_complete_out_of_order_and_all_match() {
     // Several workers so responses genuinely race each other back.
-    let (_service, server, path) =
-        start_reactor("pipeline", ServiceConfig::default().with_workers(4));
+    let (_service, server, path) = start_reactor(
+        "pipeline",
+        ServiceConfig::default()
+            .with_workers(4)
+            .with_admission(Admission::Reject),
+    );
     let mut conn = persistent(&path);
 
     let kernels = ["tri", "fft", "mmul", "lu", "tri", "fft", "mmul", "lu"];
@@ -262,8 +275,12 @@ fn a_memoized_repeat_is_answered_while_the_queue_is_full() {
 
 #[test]
 fn pipelined_repeats_on_one_connection_are_all_answered() {
-    let (service, server, path) =
-        start_reactor("repeats", ServiceConfig::default().with_workers(2));
+    let (service, server, path) = start_reactor(
+        "repeats",
+        ServiceConfig::default()
+            .with_workers(2)
+            .with_admission(Admission::Reject),
+    );
     let mut conn = persistent(&path);
     let request = NetRequest::new("tri", true).with_block_size(5);
     let first = conn
@@ -357,7 +374,12 @@ fn one_shot_reference(kernel: Kernel, request: &NetRequest) -> NetCompleted {
 
 #[test]
 fn distinct_design_points_and_their_repeats_match_the_one_shot_reference() {
-    let (service, server, path) = start_reactor("sweep", ServiceConfig::default().with_workers(2));
+    let (service, server, path) = start_reactor(
+        "sweep",
+        ServiceConfig::default()
+            .with_workers(2)
+            .with_admission(Admission::Reject),
+    );
     let mut conn = persistent(&path);
     let points = sweep_points();
     let references: Vec<NetCompleted> = points
@@ -393,7 +415,11 @@ fn distinct_design_points_and_their_repeats_match_the_one_shot_reference() {
 #[test]
 fn memo_hits_pipelined_without_reading_are_throttled_at_max_pending_write() {
     let path = unique_sock("throttle");
-    let service = Arc::new(Service::start(ServiceConfig::default().with_workers(1)));
+    let service = Arc::new(Service::start(
+        ServiceConfig::default()
+            .with_workers(1)
+            .with_admission(Admission::Reject),
+    ));
     let server = ReactorServer::start(
         Arc::clone(&service),
         &ListenAddr::Unix(path.clone()),
@@ -461,7 +487,8 @@ fn chaos_matrix_against_the_reactor_is_typed_and_survivable() {
         "chaos",
         ServiceConfig::default()
             .with_workers(2)
-            .with_queue_capacity(64),
+            .with_queue_capacity(64)
+            .with_admission(Admission::Reject),
     );
 
     let good = Frame::new(
@@ -523,8 +550,12 @@ fn chaos_matrix_against_the_reactor_is_typed_and_survivable() {
 
 #[test]
 fn mid_pipeline_truncation_poisons_only_that_connection() {
-    let (_service, server, path) =
-        start_reactor("poison", ServiceConfig::default().with_workers(2));
+    let (_service, server, path) = start_reactor(
+        "poison",
+        ServiceConfig::default()
+            .with_workers(2)
+            .with_admission(Admission::Reject),
+    );
 
     // Connection A gets poisoned mid-pipeline; connection B must keep
     // working throughout.
@@ -585,7 +616,11 @@ fn mid_pipeline_truncation_poisons_only_that_connection() {
 #[test]
 fn pool_reuses_connections_and_health_checks_across_restart() {
     let path = unique_sock("pool");
-    let service = Arc::new(Service::start(ServiceConfig::default().with_workers(2)));
+    let service = Arc::new(Service::start(
+        ServiceConfig::default()
+            .with_workers(2)
+            .with_admission(Admission::Reject),
+    ));
     let server = ReactorServer::start(
         Arc::clone(&service),
         &ListenAddr::Unix(path.clone()),
@@ -626,4 +661,186 @@ fn pool_reuses_connections_and_health_checks_across_restart() {
     assert_eq!(pool.idle_count(), 1, "fresh connection shelved");
 
     server.stop();
+}
+
+#[test]
+fn a_bad_request_is_typed_and_the_connection_survives() {
+    let (_service, server, path) = start_reactor(
+        "badreq",
+        ServiceConfig::default()
+            .with_workers(1)
+            .with_admission(Admission::Reject),
+    );
+    let mut conn = UnixStream::connect(&path).expect("connect");
+
+    // Unknown kernel: the frame is well-formed, so the server answers
+    // typed and keeps the connection.
+    let bad = Frame::new(
+        FrameKind::Request,
+        1,
+        NetRequest::new("quux", true).encode(),
+    )
+    .expect("frame");
+    bad.write_to(&mut conn).expect("write");
+    let reply = Frame::read_from(&mut conn).expect("typed reply, not a hangup");
+    assert_eq!(reply.request_id, 1);
+    let response = NetResponse::decode(&reply.payload).expect("decodes");
+    match response.outcome {
+        Err(RemoteError::BadRequest { detail }) => assert!(detail.contains("quux"), "{detail}"),
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+
+    // Same connection, now a good request: still served.
+    let good =
+        Frame::new(FrameKind::Request, 2, NetRequest::new("tri", true).encode()).expect("frame");
+    good.write_to(&mut conn).expect("write");
+    let reply = Frame::read_from(&mut conn).expect("served");
+    assert_eq!(reply.request_id, 2);
+    let response = NetResponse::decode(&reply.payload).expect("decodes");
+    assert!(response.outcome.is_ok(), "good request after bad refused");
+
+    assert_eq!(server.stats().bad_requests, 1);
+    server.stop();
+}
+
+#[test]
+fn a_peer_that_hangs_up_after_a_whole_request_leaves_the_server_healthy() {
+    let (service, server, path) = start_reactor(
+        "discon",
+        ServiceConfig::default()
+            .with_workers(1)
+            .with_admission(Admission::Reject),
+    );
+    {
+        let mut conn = UnixStream::connect(&path).expect("connect");
+        let frame = Frame::new(FrameKind::Request, 3, NetRequest::new("tri", true).encode())
+            .expect("frame");
+        frame.write_to(&mut conn).expect("write");
+        // Hang up before reading the response: the job still runs, its
+        // response has nowhere to go, nothing panics.
+    }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while service.stats().completed == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the abandoned job never completed"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut conn = persistent(&path);
+    assert!(conn
+        .call(&NetRequest::new("tri", true).with_block_size(5))
+        .expect("alive")
+        .outcome
+        .is_ok());
+    assert_eq!(server.stats().requests, 2);
+    server.stop();
+}
+
+/// Waits (bounded) until the service has queued `n` jobs: past the
+/// tenant-quota gate, so each holds its tenant's slot until it completes.
+fn wait_submitted(service: &Service, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while service.stats().submitted < n {
+        assert!(Instant::now() < deadline, "the job was never queued");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn quota_refusal_travels_typed_while_another_tenant_is_served() {
+    let (service, server, path) = start_reactor(
+        "quota",
+        ServiceConfig::default()
+            .with_workers(1)
+            .with_admission(Admission::Reject)
+            .with_tenant_quota(1)
+            .with_delivery_latency(Duration::from_millis(500)),
+    );
+
+    // The first call holds tenant acme's single in-flight slot for the
+    // ~500ms delivery stall.
+    let mut holder = persistent(&path);
+    let held = holder
+        .send(&NetRequest::new("tri", true).with_tenant("acme"))
+        .expect("send");
+    wait_submitted(&service, 1);
+
+    let mut conn = persistent(&path);
+    let refused = conn
+        .call(&NetRequest::new("tri", true).with_tenant("acme"))
+        .expect("transport works");
+    match refused.outcome {
+        Err(RemoteError::QuotaExceeded {
+            tenant,
+            in_flight,
+            limit,
+        }) => {
+            assert_eq!(tenant, "acme");
+            assert_eq!((in_flight, limit), (1, 1));
+        }
+        other => panic!("expected QuotaExceeded, got {other:?}"),
+    }
+
+    // A different tenant is admitted while acme is capped.
+    let other = conn
+        .call(&NetRequest::new("tri", true).with_tenant("zeta"))
+        .expect("transport works");
+    assert!(
+        other.outcome.is_ok(),
+        "other tenant starved: {:?}",
+        other.outcome
+    );
+    assert!(holder.recv(held).expect("transport works").outcome.is_ok());
+    server.stop();
+}
+
+#[test]
+fn the_pool_retries_a_quota_refusal_until_the_hold_ends() {
+    let (service, server, path) = start_reactor(
+        "quota-retry",
+        ServiceConfig::default()
+            .with_workers(1)
+            .with_admission(Admission::Reject)
+            .with_tenant_quota(1)
+            .with_delivery_latency(Duration::from_millis(300)),
+    );
+    let mut holder = persistent(&path);
+    let held = holder
+        .send(&NetRequest::new("tri", true).with_tenant("acme"))
+        .expect("send");
+    wait_submitted(&service, 1);
+
+    // Enough retry budget to outlast the 300ms stall: the pool backs off
+    // through the refusals and lands the request.
+    let mut config = PoolConfig::default().with_deadline(Duration::from_secs(30));
+    config.retries = 20;
+    let pool = ClientPool::new(ListenAddr::Unix(path.clone()), config);
+    let response = pool
+        .call(&NetRequest::new("tri", true).with_tenant("acme"))
+        .expect("transport works");
+    assert!(
+        response.outcome.is_ok(),
+        "retries should outlast the quota hold: {:?}",
+        response.outcome
+    );
+    assert!(holder.recv(held).expect("transport works").outcome.is_ok());
+    server.stop();
+}
+
+#[test]
+fn a_service_that_blocks_admission_is_refused() {
+    let path = unique_sock("block");
+    let service = Arc::new(Service::start(ServiceConfig::default()));
+    assert_eq!(service.admission(), Admission::Block);
+    let refused = ReactorServer::start(
+        Arc::clone(&service),
+        &ListenAddr::Unix(path.clone()),
+        ReactorConfig::default(),
+    );
+    match refused {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+        Ok(_) => panic!("a blocking submit would stall an event loop"),
+    }
+    assert!(!path.exists(), "nothing was bound");
 }

@@ -506,6 +506,11 @@ impl Service {
         Ok(Ticket::new(id, slot, cancel))
     }
 
+    /// What a submit does when the queue is full.
+    pub fn admission(&self) -> Admission {
+        self.inner.config.admission
+    }
+
     /// Jobs currently queued (not yet picked up).
     pub fn queue_depth(&self) -> usize {
         self.inner.queue.depth()
