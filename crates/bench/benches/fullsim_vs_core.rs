@@ -8,8 +8,8 @@
 //! straight-line run at a time, and the sink counts, restores and checks
 //! the run in one call. Over the six paper kernels at paper scale, this
 //! bench interleaves best-of-7 timings of the bare core
-//! (`Cpu::run_with_sink` into `NullSink`), of `evaluate` (TT/BBIT, k=4)
-//! and of bus-invert `evaluate_scheme_full` — all three include loading
+//! (`Cpu::run_with_sink` into `NullSink`), and of `evaluate` on TT/BBIT
+//! (k=4) and on bus-invert — all three include loading
 //! the program — and **fails** (exit 1) unless Σcore / Σevaluate ≥ 0.2,
 //! summed over the twelve (kernel, evaluation) cells with the kernel's
 //! core time counted once per cell. Interleaving exposes all three to the
@@ -22,7 +22,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use imt_core::eval::{evaluate, evaluate_replay};
-use imt_core::scheme::{evaluate_scheme_full, BusInvertScheme};
+use imt_core::scheme::BusInvertScheme;
 use imt_core::{encode_program, EncodedProgram, EncoderConfig};
 use imt_isa::program::Program;
 use imt_kernels::Kernel;
@@ -50,8 +50,8 @@ fn time_tt(program: &Program, encoded: &EncodedProgram, max_steps: u64) -> Durat
 
 fn time_bus_invert(program: &Program, max_steps: u64) -> Duration {
     let start = Instant::now();
-    let mut scheme = BusInvertScheme::new(black_box(program));
-    black_box(evaluate_scheme_full(&mut scheme, program, max_steps).expect("kernel evaluates"));
+    let scheme = BusInvertScheme::new(black_box(program));
+    black_box(evaluate(program, &scheme, max_steps).expect("kernel evaluates"));
     start.elapsed()
 }
 
@@ -81,12 +81,8 @@ fn main() {
             let replay = evaluate_replay(&program, &encoded, &profile)
                 .unwrap_or_else(|e| panic!("{}: replay failed: {e}", spec.name));
             assert_eq!(tt, replay, "{}", spec.name);
-            let bus_invert = evaluate_scheme_full(
-                &mut BusInvertScheme::new(&program),
-                &program,
-                spec.max_steps,
-            )
-            .unwrap_or_else(|e| panic!("{}: bus-invert failed: {e}", spec.name));
+            let bus_invert = evaluate(&program, &BusInvertScheme::new(&program), spec.max_steps)
+                .unwrap_or_else(|e| panic!("{}: bus-invert failed: {e}", spec.name));
             assert_eq!(bus_invert.decode_mismatches, 0, "{}", spec.name);
             assert_eq!(bus_invert.stdout, spec.expected_output, "{}", spec.name);
             (spec, program, encoded, tt.fetches)

@@ -7,24 +7,26 @@
 //! recorded fetch-edge profile, prices each in storage bits and
 //! transition counts, marks the reduction-vs-hardware Pareto front, and
 //! runs the per-lane auto-selector under the TT schedule's own hardware
-//! budget. Static schemes replay closed-form; bus-invert (per-cycle
-//! state) is routed to full simulation by
-//! [`imt_core::scheme::evaluate_scheme_auto`] — the arena never lets a
-//! stateful scheme be silently scored by the stateless replay path.
+//! budget. Every scheme, TT/BBIT included, goes through the one auto
+//! router, [`imt_core::eval::evaluate_auto`]: static schemes replay
+//! closed-form, and bus-invert (per-cycle state) is routed to full
+//! simulation — the arena never lets a stateful scheme be silently
+//! scored by the stateless replay path.
 //!
 //! Everything here is deterministic: kernels fan out over
 //! [`par_map_coarse`] and merge in index order, so `exp_arena`'s output
-//! and `results/BENCH_arena.json` are byte-stable across thread counts.
+//! and the grid in `results/BENCH_arena.json` are byte-stable across
+//! thread counts (the JSON also records the host's `threads`).
 
 use imt_bitcode::businvert::{BusInvertNaive, BusInvertState};
 use imt_bitcode::gray::{gray_word, gray_word_naive, ungray_word, ungray_word_naive};
 use imt_bitcode::par::par_map_coarse;
-use imt_core::eval::{evaluate_replay, EvalNeeds, EvalPath};
+use imt_core::eval::{evaluate_auto, EvalNeeds, EvalPath, Evaluation};
 use imt_core::hardware::HardwareBudget;
 use imt_core::scheme::{
-    auto_select, build_scheme, composite_image, evaluate_scheme_auto, tt_lane_split,
-    verify_composite_decode, AutoSelection, Encoder, GrayScheme, LaneChoice, LaneCosts,
-    LowWeightScheme, SchemeEvaluation, SchemeSpec, TtBbitScheme, WholeBusCandidate,
+    auto_select, build_scheme, composite_image, tt_lane_split, verify_composite_decode,
+    AutoSelection, Encoder, GrayScheme, LaneChoice, LaneCosts, LowWeightScheme, SchemeSpec,
+    WholeBusCandidate,
 };
 use imt_core::{encode_program, EncoderConfig};
 use imt_kernels::Kernel;
@@ -51,7 +53,7 @@ pub struct ArenaRow {
     /// Restore-logic gate estimate.
     pub restore_gates: u64,
     /// The evaluation (replayed or fully simulated).
-    pub evaluation: SchemeEvaluation,
+    pub evaluation: Evaluation,
     /// Which path scored it (`"replay"` or `"full-sim"`).
     pub path: &'static str,
     /// Whether the row sits on the reduction-vs-storage Pareto front.
@@ -113,9 +115,6 @@ pub struct KernelArena {
     /// Fast-vs-naive oracle comparisons performed (every stored word of
     /// every scheme, plus the bus-invert dynamic cross-check).
     pub oracle_checks: u64,
-    /// Whether the TT rows scored through the [`Encoder`] trait were
-    /// bit-identical to the direct pipeline evaluation.
-    pub tt_trait_identical: bool,
 }
 
 impl KernelArena {
@@ -181,7 +180,7 @@ fn verify_static_oracles(profile: &KernelProfile, lowweight: &LowWeightScheme) -
 /// # Panics
 ///
 /// Panics if the two implementations disagree on either total.
-fn cross_check_businvert(profile: &KernelProfile, eval: &SchemeEvaluation) -> u64 {
+fn cross_check_businvert(profile: &KernelProfile, eval: &Evaluation) -> u64 {
     let mut monitor = imt_baselines::BusInvert::new(32);
     let mut cpu = imt_sim::Cpu::new(&profile.program).expect("load failed");
     cpu.run_with_sink(profile.spec.max_steps, &mut monitor)
@@ -202,12 +201,12 @@ fn cross_check_businvert(profile: &KernelProfile, eval: &SchemeEvaluation) -> u6
 fn scheme_row(
     label: String,
     block_size: Option<usize>,
-    scheme: &mut dyn Encoder,
+    scheme: &dyn Encoder,
     profile: &KernelProfile,
 ) -> ArenaRow {
-    let (evaluation, path) = evaluate_scheme_auto(
-        scheme,
+    let (evaluation, path) = evaluate_auto(
         &profile.program,
+        scheme,
         profile.spec.max_steps,
         Some(&profile.edges),
         EvalNeeds::transitions_only(),
@@ -273,43 +272,35 @@ pub fn arena_kernel(kernel: Kernel, scale: Scale) -> KernelArena {
     // auto-selector's donor choice.
     let mut rows: Vec<ArenaRow> = Vec::new();
     let mut tt_schedules = Vec::new();
-    let mut tt_trait_identical = true;
     for k in TT_BLOCK_SIZES {
         let config = EncoderConfig::default()
             .with_block_size(k)
             .expect("block sizes 4..=7 are valid");
         let encoded = encode_program(&profile.program, &profile.profile, &config)
             .unwrap_or_else(|e| panic!("{}: k={k}: encoding failed: {e}", profile.spec.name));
-        let mut scheme = TtBbitScheme::new(encoded.clone());
-        let row = scheme_row(format!("tt-k{k}"), Some(k), &mut scheme, &profile);
-        // The trait wrapper must be a zero-cost detour: bit-identical to
-        // the direct pipeline replay.
-        let direct = evaluate_replay(&profile.program, &encoded, &profile.edges)
-            .unwrap_or_else(|e| panic!("{}: k={k}: direct replay failed: {e}", profile.spec.name));
-        tt_trait_identical &= row.evaluation.to_evaluation() == direct;
-        rows.push(row);
+        rows.push(scheme_row(format!("tt-k{k}"), Some(k), &encoded, &profile));
         tt_schedules.push(encoded);
     }
 
     // The k-independent competitors.
-    let mut gray = GrayScheme::new(&profile.program);
-    rows.push(scheme_row("gray".to_string(), None, &mut gray, &profile));
+    let gray = GrayScheme::new(&profile.program);
+    rows.push(scheme_row("gray".to_string(), None, &gray, &profile));
     let entries = SchemeSpec::DEFAULT_LOW_WEIGHT_ENTRIES;
-    let mut lowweight = LowWeightScheme::new(&profile.program, &profile.profile, entries);
+    let lowweight = LowWeightScheme::new(&profile.program, &profile.profile, entries);
     rows.push(scheme_row(
         format!("lowweight-{entries}"),
         None,
-        &mut lowweight,
+        &lowweight,
         &profile,
     ));
-    let mut businvert = build_scheme(
+    let businvert = build_scheme(
         SchemeSpec::BusInvert,
         &profile.program,
         &profile.profile,
         &EncoderConfig::default(),
     )
     .expect("bus-invert build is total");
-    let businvert_row = scheme_row("businvert".to_string(), None, businvert.as_mut(), &profile);
+    let businvert_row = scheme_row("businvert".to_string(), None, businvert.as_ref(), &profile);
     assert_eq!(
         businvert_row.path, "full-sim",
         "{}: a cycle-state scheme must never be replay-scored",
@@ -416,7 +407,6 @@ pub fn arena_kernel(kernel: Kernel, scale: Scale) -> KernelArena {
         best_single,
         auto,
         oracle_checks,
-        tt_trait_identical,
     }
 }
 
@@ -446,7 +436,7 @@ pub fn arena_doc(grid: &[KernelArena], scale: Scale) -> Json {
                         ),
                         (
                             "extra_line_transitions",
-                            Json::U64(row.evaluation.extra_line_transitions),
+                            Json::U64(row.evaluation.extra_line_transitions()),
                         ),
                         ("reduction_percent", Json::F64(row.reduction_percent())),
                         ("path", Json::str(row.path)),
@@ -500,7 +490,6 @@ pub fn arena_doc(grid: &[KernelArena], scale: Scale) -> Json {
                     ]),
                 ),
                 ("oracle_checks", Json::U64(arena.oracle_checks)),
-                ("tt_trait_identical", Json::Bool(arena.tt_trait_identical)),
             ])
         })
         .collect();
@@ -528,7 +517,6 @@ mod tests {
     fn arena_kernel_ranks_and_verifies_at_test_scale() {
         let arena = arena_kernel(Kernel::Tri, Scale::Test);
         assert_eq!(arena.rows.len(), 7); // 4 TT + gray + lowweight + businvert
-        assert!(arena.tt_trait_identical);
         assert!(arena.auto.composite_verified);
         assert!(arena.oracle_checks > 0);
         // Auto must be at least as good as every single scheme.
@@ -574,9 +562,5 @@ mod tests {
             .get("reduction_percent")
             .and_then(Json::as_f64)
             .is_some());
-        assert_eq!(
-            kernels[0].get("tt_trait_identical").and_then(Json::as_bool),
-            Some(true)
-        );
     }
 }

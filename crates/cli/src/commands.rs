@@ -820,7 +820,8 @@ pub fn arena(args: &[String]) -> Result<String, CliError> {
 }
 
 /// `imt arena run`: score every scheme on every kernel and refresh
-/// `results/BENCH_arena.json` (same artifact `exp_arena` writes).
+/// `results/BENCH_arena.json` (or `DIR/BENCH_arena.json` under
+/// `--results DIR`), the artifact's one writer.
 fn arena_run(opts: &Options<'_>) -> Result<String, CliError> {
     let scale = if opts.flag("--test-scale") {
         imt_bench::runner::Scale::Test

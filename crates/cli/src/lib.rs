@@ -106,7 +106,7 @@ commands:
                                    score every encoding scheme on every
                                    kernel (Pareto + auto-select); writes
                                    results/BENCH_arena.json
-  arena report [BENCH_arena.json]  summarise an exp_arena result file
+  arena report [BENCH_arena.json]  summarise an arena result file
   serve [--workers N] [--queue N] [--max-batch N] [--requests N] [--reject]
         [--deadline-ms N] [--delivery-ms N] [--tenant-quota N] [--test-scale]
                                    closed-loop load session against the

@@ -1,20 +1,24 @@
-//! Dynamic evaluation: replay a real execution against the encoded image.
+//! Dynamic evaluation: score an encoder against a real execution.
 //!
-//! This is the experiment of the paper's §8: run the program on the
-//! simulated core, stream every fetch through two bus monitors — one fed
-//! the original words, one fed the encoded image — and, crucially, through
-//! the [`crate::hardware::FetchDecoder`] hardware model,
-//! checking bit-for-bit that the decoded stream equals the original
-//! instruction stream. A schedule that decodes incorrectly can therefore
-//! never report savings.
+//! This is the experiment of the paper's §8, for every scheme behind the
+//! [`Encoder`] trait: run the program on the simulated core, stream every
+//! fetch through two bus monitors — one fed the original words, one fed
+//! what the scheme drives — and through the scheme's receiver-side
+//! [`BusModel`] (for TT/BBIT, the [`crate::hardware::FetchDecoder`]
+//! hardware model), checking bit-for-bit that the restored stream equals
+//! the original instruction stream. An encoding that restores incorrectly
+//! can therefore never report savings.
 //!
 //! The core hands the evaluation sink one straight-line run at a time. The
 //! sink slices the stored image once per run; both monitors count the run
-//! in one pass ([`DataBusMonitor::observe_run`]) and the decoder restores
-//! it segment by segment ([`FetchDecoder::restore_run`]), so every fetch is
-//! still restored and compared. The per-fetch pieces
-//! ([`DataBusMonitor::observe`], [`FetchDecoder::on_fetch`]) stay as the
-//! reference that `tests/run_stepped_eval.rs` pins the run path to.
+//! in one pass ([`DataBusMonitor::observe_run`]), the TT decoder restores
+//! it segment by segment ([`crate::hardware::FetchDecoder::restore_run`])
+//! and bus-invert drives it in one loop, so every fetch is still restored
+//! and compared. The per-fetch pieces ([`DataBusMonitor::observe`],
+//! [`crate::hardware::FetchDecoder::on_fetch`],
+//! [`imt_bitcode::businvert::BusInvertState::drive`] and
+//! [`Encoder::decode_word`]) stay as the reference that
+//! `tests/run_stepped_eval.rs` pins the run path to.
 //!
 //! Two evaluation paths produce bit-identical [`Evaluation`]s:
 //!
@@ -22,9 +26,11 @@
 //! * [`evaluate_replay`] — closed-form replay over a recorded
 //!   [`FetchEdgeProfile`], O(static edges): the transition totals are
 //!   `Σ_edges weight(e) · popcount(stored[src] ^ stored[dst])`, and the
-//!   decoder is verified once per scheduled block instead of once per
-//!   dynamic traversal (sound because blocks are single-entry and a BBIT
-//!   hit resets the decoder, so every traversal decodes identically).
+//!   restore is proven once statically ([`Encoder::verify_decode`]):
+//!   per word for a memoryless image, once per scheduled block for
+//!   TT/BBIT (sound because blocks are single-entry and a BBIT hit resets
+//!   the decoder, so every traversal decodes identically). Cycle-state
+//!   schemes (bus-invert) are refused.
 //!
 //! [`evaluate_auto`] picks between them from a typed [`EvalNeeds`]:
 //! anything beyond data-bus transition counts (icache, timing, address
@@ -32,32 +38,36 @@
 
 use std::borrow::Borrow;
 
+use imt_bitcode::businvert::BusInvertState;
 use imt_isa::program::Program;
 use imt_sim::bus::DataBusMonitor;
 use imt_sim::cpu::{Cpu, FetchSink};
 use imt_sim::edge::FetchEdgeProfile;
 
 use crate::error::CoreError;
-use crate::hardware::FetchDecoder;
-use crate::pipeline::{EncodedProgram, BUS_WIDTH};
+use crate::pipeline::BUS_WIDTH;
+use crate::scheme::{BusModel, Encoder, ReplayClass};
 
-/// Result of replaying a program against its encoded image.
+/// Result of scoring one encoding against a run of its program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Evaluation {
     /// Instructions fetched (= executed).
     pub fetches: u64,
     /// Total bus transitions with the original image — the paper's `#TR`.
     pub baseline_transitions: u64,
-    /// Total bus transitions with the encoded image.
+    /// Total bus transitions with the encoding, extra control lines
+    /// included ([`Evaluation::extra_line_transitions`]).
     pub encoded_transitions: u64,
     /// Per-line baseline transitions.
     pub per_lane_baseline: Vec<u64>,
-    /// Per-line encoded transitions.
+    /// Per-data-line encoded transitions.
     pub per_lane_encoded: Vec<u64>,
-    /// Fetches whose decoded word differed from the original (must be 0;
+    /// Fetches whose restored word differed from the original (must be 0;
     /// also surfaced as an error by [`evaluate`]).
     pub decode_mismatches: u64,
-    /// Fetches decoded through an active TT schedule.
+    /// Fetches served by restore logic: for TT/BBIT, those decoded
+    /// through an active schedule; for the other schemes, those whose
+    /// stored word differs from the original.
     pub decoded_fetches: u64,
     /// Fetches that passed through untouched.
     pub passthrough_fetches: u64,
@@ -79,11 +89,25 @@ impl Evaluation {
             / self.baseline_transitions as f64
             * 100.0
     }
+
+    /// Transitions on extra control lines (bus-invert's invert line): the
+    /// part of `encoded_transitions` no data lane carries.
+    pub fn extra_line_transitions(&self) -> u64 {
+        self.encoded_transitions
+            .saturating_sub(self.per_lane_encoded.iter().sum::<u64>())
+    }
+
+    /// A copy, under the name of the former arena result's conversion.
+    /// `imt_benchmark` calls it, and that harness changes only with the
+    /// benchmark itself.
+    pub fn to_evaluation(&self) -> Evaluation {
+        self.clone()
+    }
 }
 
-/// The decode check of full simulation and of replay's span walks: counts
-/// restored words that differ from the original and keeps the first as
-/// the error.
+/// The decode check of full simulation and of the TT/BBIT span walk:
+/// counts restored words that differ from the original and keeps the
+/// first as the error.
 #[derive(Debug, Default)]
 pub(crate) struct DecodeCheck {
     pub(crate) mismatches: u64,
@@ -121,8 +145,8 @@ impl DecodeCheck {
 }
 
 /// `buffer`'s first `len` words, growing it if needed: per-run scratch
-/// space that full-simulation sinks reuse across runs.
-pub(crate) fn run_buffer(buffer: &mut Vec<u32>, len: usize) -> &mut [u32] {
+/// space the sink reuses across runs.
+fn run_buffer(buffer: &mut Vec<u32>, len: usize) -> &mut [u32] {
     if buffer.len() < len {
         buffer.resize(len, 0);
     }
@@ -130,14 +154,20 @@ pub(crate) fn run_buffer(buffer: &mut Vec<u32>, len: usize) -> &mut [u32] {
 }
 
 struct EvalSink<'a> {
-    encoded_text: &'a [u32],
+    stored: &'a [u32],
     text_base: u32,
+    bus: BusModel,
     baseline: DataBusMonitor,
     encoded: DataBusMonitor,
-    decoder: FetchDecoder,
+    /// Transitions on extra control lines.
+    extra: u64,
+    /// Fetches whose stored word differs from the original: the decoded
+    /// count of every bus model but the TT decoder, which keeps its own.
+    differing: u64,
     check: DecodeCheck,
-    /// The current run's restored words.
+    /// The current run's restored and driven words.
     restored: Vec<u32>,
+    driven: Vec<u32>,
 }
 
 impl FetchSink for EvalSink<'_> {
@@ -145,61 +175,107 @@ impl FetchSink for EvalSink<'_> {
         self.on_run(pc, std::slice::from_ref(&word));
     }
 
-    /// Slices the stored image once per run and hands it to the run-level
-    /// bus counters and decoder; every fetch is still restored and checked.
+    /// Slices the stored image once per run and hands it to the bus model
+    /// and the run-level bus counters; every fetch is still restored and
+    /// checked.
     #[inline]
     fn on_run(&mut self, pc: u32, words: &[u32]) {
-        self.baseline.observe_run(words);
         let first = ((pc - self.text_base) / 4) as usize;
-        let stored = &self.encoded_text[first..first + words.len()];
-        self.encoded.observe_run(stored);
-        let restored = run_buffer(&mut self.restored, words.len());
-        self.decoder.restore_run(pc, stored, restored);
+        let range = first..first + words.len();
+        let stored = &self.stored[range.clone()];
+        let (driven, restored): (&[u32], &[u32]) = match &mut self.bus {
+            BusModel::Memoryless(image) => {
+                self.differing += differing(stored, words);
+                (stored, &image[range])
+            }
+            BusModel::Decoder(decoder) => {
+                let restored = run_buffer(&mut self.restored, words.len());
+                decoder.restore_run(pc, stored, restored);
+                (stored, restored)
+            }
+            BusModel::BusInvert(state) => {
+                let restored = run_buffer(&mut self.restored, words.len());
+                let driven = run_buffer(&mut self.driven, words.len());
+                self.extra += drive_inverted(state, stored, restored, driven);
+                self.differing += differing(stored, words);
+                (driven, restored)
+            }
+        };
+        self.baseline.observe_run(words);
+        self.encoded.observe_run(driven);
         self.check.run(pc, restored, words);
     }
 }
 
-/// Replays `program` for up to `max_steps` instructions against its
-/// encoded image, verifying the fetch decoder on every fetch.
+/// Drives a run through bus-invert: writes each word's restored and
+/// driven form and returns the invert line's transitions. Taking the
+/// drive state and both outputs as separate `&mut` borrows lets the
+/// state stay in registers across the loop; inside the sink, stores to
+/// its buffers could alias it.
+fn drive_inverted(
+    state: &mut BusInvertState,
+    stored: &[u32],
+    restored: &mut [u32],
+    driven: &mut [u32],
+) -> u64 {
+    let mut extra = 0;
+    for ((&stored, restored), driven) in stored.iter().zip(restored).zip(driven) {
+        let step = state.drive(stored);
+        (*restored, *driven) = (BusInvertState::restore(&step), step.bus);
+        extra += step.invert_transitions;
+    }
+    extra
+}
+
+/// How many of `stored` differ from the original `words`.
+fn differing(stored: &[u32], words: &[u32]) -> u64 {
+    stored.iter().zip(words).filter(|(s, w)| s != w).count() as u64
+}
+
+/// Runs `program` for up to `max_steps` instructions against `encoder`'s
+/// stored image, driving every fetch through its bus model and verifying
+/// the restore on every fetch — the only sound path for
+/// [`ReplayClass::CycleState`] encoders.
 ///
 /// # Errors
 ///
 /// [`CoreError::Sim`] if the program faults or exceeds `max_steps`;
-/// [`CoreError::DecodeMismatch`] if the hardware model ever restores a
-/// word incorrectly (the evaluation numbers would be meaningless).
+/// [`CoreError::DecodeMismatch`] if the bus model ever restores a word
+/// incorrectly (the evaluation numbers would be meaningless).
 pub fn evaluate(
     program: &Program,
-    encoded: &EncodedProgram,
+    encoder: &dyn Encoder,
     max_steps: u64,
 ) -> Result<Evaluation, CoreError> {
     let _span = imt_obs::span!("core.evaluate");
     let mut cpu = Cpu::new(program)?;
     let mut sink = EvalSink {
-        encoded_text: &encoded.text,
-        text_base: encoded.text_base,
+        stored: encoder.stored_image(),
+        text_base: program.text_base,
+        bus: encoder.bus_model(),
         baseline: DataBusMonitor::new(BUS_WIDTH),
         encoded: DataBusMonitor::new(BUS_WIDTH),
-        decoder: FetchDecoder::new(
-            &encoded.tt,
-            &encoded.bbit,
-            BUS_WIDTH,
-            encoded.config.block_size(),
-            encoded.config.overlap(),
-        ),
+        extra: 0,
+        differing: 0,
         check: DecodeCheck::default(),
         restored: Vec::new(),
+        driven: Vec::new(),
     };
     let summary = cpu.run_with_sink(max_steps, &mut sink)?;
     sink.check.result()?;
+    let (decoded_fetches, passthrough_fetches) = match &sink.bus {
+        BusModel::Decoder(decoder) => (decoder.decoded_fetches(), decoder.passthrough_fetches()),
+        _ => (sink.differing, summary.instructions - sink.differing),
+    };
     let evaluation = Evaluation {
         fetches: summary.instructions,
         baseline_transitions: sink.baseline.total_transitions(),
-        encoded_transitions: sink.encoded.total_transitions(),
+        encoded_transitions: sink.encoded.total_transitions() + sink.extra,
         per_lane_baseline: sink.baseline.per_lane(),
         per_lane_encoded: sink.encoded.per_lane(),
         decode_mismatches: sink.check.mismatches,
-        decoded_fetches: sink.decoder.decoded_fetches(),
-        passthrough_fetches: sink.decoder.passthrough_fetches(),
+        decoded_fetches,
+        passthrough_fetches,
         exit_code: summary.exit_code,
         stdout: cpu.stdout().to_string(),
     };
@@ -209,18 +285,18 @@ pub fn evaluate(
     Ok(evaluation)
 }
 
-/// Replays a recorded fetch-edge profile against the encoded image in
-/// closed form — O(distinct edges) instead of O(dynamic fetches) — and
+/// Replays a recorded fetch-edge profile against `encoder`'s stored image
+/// in closed form — O(distinct edges) instead of O(dynamic fetches) — and
 /// returns an [`Evaluation`] bit-identical to [`evaluate`]'s on the same
 /// program.
 ///
 /// The transition totals (total *and* per lane) are weighted sums over
 /// the edge multiset of each edge's XOR word ([`weighted_transitions`]).
-/// The decode check walks every scheduled block once through the real
-/// [`FetchDecoder`]: a BBIT hit resets the decoder state, blocks are
-/// strictly sequential inside, and the profile is checked to contain no
-/// mid-block entries — so one walk per block witnesses every dynamic
-/// traversal, and a corrupted image or table is still refused.
+/// The restore is proven once statically ([`Encoder::verify_decode`]),
+/// and the profile is checked to enter no index the proof marks
+/// sequential-only (a TT/BBIT block's interior) — so the proof witnesses
+/// every dynamic traversal, and a corrupted image or table is still
+/// refused.
 ///
 /// This builds the profile's [`ReplayBasis`] and runs
 /// [`ReplayBasis::replay`] once; callers that score many encodings of one
@@ -229,16 +305,17 @@ pub fn evaluate(
 /// # Errors
 ///
 /// [`CoreError::ProfileLength`] if the profile covers a different text
-/// length; [`CoreError::TableImage`] if the encoded image is malformed;
-/// [`CoreError::DecodeMismatch`] if the hardware model restores any word
-/// incorrectly; [`CoreError::ReplayInfeasible`] if the profile enters an
-/// encoded block mid-stream (fall back to [`evaluate`]).
+/// length; [`CoreError::TableImage`] if the stored image is malformed;
+/// [`CoreError::DecodeMismatch`] if the restore fails its proof;
+/// [`CoreError::ReplayInfeasible`] for a [`ReplayClass::CycleState`]
+/// encoder, or if the profile enters an encoded block mid-stream (fall
+/// back to [`evaluate`]).
 pub fn evaluate_replay(
     program: &Program,
-    encoded: &EncodedProgram,
+    encoder: &dyn Encoder,
     profile: &FetchEdgeProfile,
 ) -> Result<Evaluation, CoreError> {
-    ReplayBasis::new(program, profile)?.replay(program, encoded)
+    ReplayBasis::new(program, profile)?.replay(program, encoder)
 }
 
 /// Everything replay needs from one (program, fetch-edge profile) pair
@@ -246,8 +323,7 @@ pub fn evaluate_replay(
 /// baseline totals (whole bus and per lane), the per-index fetch counts,
 /// the indices the profile enters non-sequentially, and the run's
 /// behaviour. Built once per recorded profile; every encoding of the
-/// program is then scored against it by [`ReplayBasis::replay`] (TT/BBIT)
-/// or [`crate::scheme::evaluate_scheme_replay_with`] (the arena).
+/// program is then scored against it by [`ReplayBasis::replay`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayBasis {
     text_len: usize,
@@ -314,33 +390,60 @@ impl ReplayBasis {
         &self.per_index
     }
 
-    /// Total and per-lane weighted transitions of `words` (one per text
-    /// index) over the recorded edges: [`weighted_transitions`] without
-    /// re-reading the profile.
-    pub(crate) fn transitions(&self, words: &[u32]) -> (u64, Vec<u64>) {
-        lane_transitions(words, self.edges.iter().copied())
-    }
-
-    /// [`CoreError::ProfileLength`] unless `program` has the text length
-    /// the basis was built for.
-    pub(crate) fn check_program(&self, program: &Program) -> Result<(), CoreError> {
+    /// [`evaluate_replay`] against this basis: the same refusal, decode
+    /// proof and single-entry check and the same [`Evaluation`], with the
+    /// baseline already counted.
+    ///
+    /// # Errors
+    ///
+    /// As [`evaluate_replay`]; [`CoreError::ProfileLength`] also when
+    /// `program` is not the length of the program the basis was built for.
+    pub fn replay(
+        &self,
+        program: &Program,
+        encoder: &dyn Encoder,
+    ) -> Result<Evaluation, CoreError> {
+        let _span = imt_obs::span!("core.evaluate_replay");
+        refuse_cycle_state(program, encoder)?;
         if program.text.len() != self.text_len {
             return Err(CoreError::ProfileLength {
                 text_len: program.text.len(),
                 profile_len: self.text_len,
             });
         }
-        Ok(())
-    }
+        let proof = encoder.verify_decode(program)?;
 
-    /// An evaluation of the recorded run with these encoded totals.
-    pub(crate) fn evaluation(
-        &self,
-        encoded_transitions: u64,
-        per_lane_encoded: Vec<u64>,
-        decoded_fetches: u64,
-    ) -> Evaluation {
-        Evaluation {
+        // The soundness precondition: the profile never enters an index
+        // whose restore depends on its predecessor (single-entry basic
+        // blocks). The recorded edges witness every entry, so this is
+        // checkable exactly.
+        if let Some(&index) = self
+            .entries
+            .iter()
+            .find(|&&index| proof.sequential_only[index])
+        {
+            return Err(CoreError::ReplayInfeasible {
+                pc: program.text_base + 4 * index as u32,
+            });
+        }
+
+        // Closed-form transition counts over the weighted edge multiset.
+        let (encoded_transitions, per_lane_encoded) =
+            lane_transitions(encoder.stored_image(), self.edges.iter().copied());
+
+        // Every fetch of an index the proof marks decoded goes through the
+        // restore logic (block entries always via the BBIT'd start PC,
+        // interiors always sequential — both just verified), so the
+        // decoded/passthrough split follows from the per-index counts.
+        let decoded_fetches: u64 = self
+            .per_index
+            .iter()
+            .zip(&proof.decoded)
+            .filter(|&(_, &decoded)| decoded)
+            .map(|(&count, _)| count)
+            .sum();
+
+        let evaluation = Evaluation {
             fetches: self.fetches,
             baseline_transitions: self.baseline_transitions,
             encoded_transitions,
@@ -351,51 +454,7 @@ impl ReplayBasis {
             passthrough_fetches: self.fetches - decoded_fetches,
             exit_code: self.exit_code,
             stdout: self.stdout.clone(),
-        }
-    }
-
-    /// [`evaluate_replay`] against this basis: the same span walk,
-    /// passthrough and single-entry checks and the same [`Evaluation`],
-    /// with the baseline already counted.
-    ///
-    /// # Errors
-    ///
-    /// As [`evaluate_replay`]; [`CoreError::ProfileLength`] also when
-    /// `program` is not the length of the program the basis was built for.
-    pub fn replay(
-        &self,
-        program: &Program,
-        encoded: &EncodedProgram,
-    ) -> Result<Evaluation, CoreError> {
-        let _span = imt_obs::span!("core.evaluate_replay");
-        self.check_program(program)?;
-        let spans = verify_spans(program, encoded)?;
-
-        // The soundness precondition: every dynamic entry into a scheduled
-        // block lands on its start PC (single-entry basic blocks). The
-        // recorded edges witness every entry, so this is checkable exactly.
-        if let Some(&index) = self.entries.iter().find(|&&index| spans.interior(index)) {
-            return Err(CoreError::ReplayInfeasible {
-                pc: encoded.text_base + 4 * index as u32,
-            });
-        }
-
-        // Closed-form transition counts over the weighted edge multiset.
-        let (encoded_total, per_lane_encoded) = self.transitions(&encoded.text);
-
-        // Every fetch of a scheduled index decodes through the TT (entries
-        // are always via the BBIT'd start PC, interiors always sequential —
-        // both just verified), so the decoded/passthrough split follows
-        // from the per-index counts.
-        let decoded_fetches: u64 = self
-            .per_index
-            .iter()
-            .zip(&spans.in_span)
-            .filter(|&(_, &inside)| inside)
-            .map(|(&count, _)| count)
-            .sum();
-
-        let evaluation = self.evaluation(encoded_total, per_lane_encoded, decoded_fetches);
+        };
         if imt_obs::enabled() {
             imt_obs::counter!("core.eval.replays").inc();
             publish_eval_obs(&evaluation);
@@ -404,100 +463,26 @@ impl ReplayBasis {
     }
 }
 
-/// Which text indices the scheduled spans of an encoded image cover, and
-/// where each span starts.
-pub(crate) struct Spans {
-    in_span: Vec<bool>,
-    span_start: Vec<bool>,
-}
-
-impl Spans {
-    /// Inside a span but not at its start: a fetch here must come from
-    /// its predecessor.
-    fn interior(&self, index: usize) -> bool {
-        self.in_span[index] && !self.span_start[index]
+/// [`CoreError::ReplayInfeasible`] for a [`ReplayClass::CycleState`]
+/// encoder: its bus state depends on fetch *order*, which the edge
+/// multiset does not witness, whatever the profile.
+fn refuse_cycle_state(program: &Program, encoder: &dyn Encoder) -> Result<(), CoreError> {
+    match encoder.replay_class() {
+        ReplayClass::CycleState => Err(CoreError::ReplayInfeasible {
+            pc: program.text_base,
+        }),
+        ReplayClass::Memoryless | ReplayClass::BlockState => Ok(()),
     }
-}
-
-/// The static decode proof of a TT/BBIT image: walks each scheduled
-/// block's fetch sequence once through the hardware model, then checks
-/// that outside every scheduled block the image holds the original words
-/// (they pass through the decoder untouched).
-///
-/// # Errors
-///
-/// [`CoreError::TableImage`] if the image length is wrong or a span leaves
-/// the text; [`CoreError::DecodeMismatch`] on the first word that fails.
-pub(crate) fn verify_spans(
-    program: &Program,
-    encoded: &EncodedProgram,
-) -> Result<Spans, CoreError> {
-    let text_len = program.text.len();
-    if encoded.text.len() != text_len {
-        return Err(CoreError::TableImage {
-            detail: "encoded image length differs from the program text",
-        });
-    }
-    let mut decoder = FetchDecoder::new(
-        &encoded.tt,
-        &encoded.bbit,
-        BUS_WIDTH,
-        encoded.config.block_size(),
-        encoded.config.overlap(),
-    );
-    let mut spans = Spans {
-        in_span: vec![false; text_len],
-        span_start: vec![false; text_len],
-    };
-    let mut restored = vec![0; text_len];
-    let mut check = DecodeCheck::default();
-    for (start_pc, end_pc) in decoder.scheduled_spans() {
-        let start = pc_to_index(start_pc, encoded.text_base, text_len)?;
-        let end = pc_to_index(end_pc.wrapping_sub(4), encoded.text_base, text_len)? + 1;
-        spans.span_start[start] = true;
-        spans.in_span[start..end].fill(true);
-        decoder.reset();
-        let restored = &mut restored[start..end];
-        decoder.restore_run(start_pc, &encoded.text[start..end], restored);
-        check.run(start_pc, restored, &program.text[start..end]);
-        check.result()?;
-    }
-    for (index, _) in spans
-        .in_span
-        .iter()
-        .enumerate()
-        .filter(|&(_, &inside)| !inside)
-    {
-        if encoded.text[index] != program.text[index] {
-            return Err(CoreError::DecodeMismatch {
-                pc: encoded.text_base + 4 * index as u32,
-                decoded: encoded.text[index],
-                expected: program.text[index],
-            });
-        }
-    }
-    Ok(spans)
-}
-
-pub(crate) fn pc_to_index(pc: u32, text_base: u32, text_len: usize) -> Result<usize, CoreError> {
-    let offset = pc.wrapping_sub(text_base);
-    let index = (offset / 4) as usize;
-    if pc < text_base || !offset.is_multiple_of(4) || index >= text_len {
-        return Err(CoreError::TableImage {
-            detail: "scheduled span outside the text image",
-        });
-    }
-    Ok(index)
 }
 
 /// Total and per-lane weighted transitions of `words` over the profile's
 /// edge multiset: each edge's weight is added to every lane its XOR word
 /// has set, one set bit at a time, and the total is the lanes' sum.
 ///
-/// Public because the scheme arena ([`crate::scheme`]) prices every
-/// static stored image — Gray, codebook, per-lane composites — in the
-/// same closed-form currency. A [`ReplayBasis`] keeps the edges, so
-/// [`ReplayBasis::transitions`] does not re-read the profile.
+/// Public because the scheme arena ([`crate::scheme`]) prices assembled
+/// images that no encoder stores — the per-lane composites — in the same
+/// closed-form currency. A [`ReplayBasis`] keeps the edges, so replay
+/// does not re-read the profile.
 pub fn weighted_transitions(words: &[u32], profile: &FetchEdgeProfile) -> (u64, Vec<u64>) {
     lane_transitions(words, profile.edges())
 }
@@ -565,8 +550,9 @@ pub enum FullSimReason {
     AddressBus,
     /// No fetch-edge profile was supplied.
     NoProfile,
-    /// The profile enters an encoded block mid-stream
-    /// ([`CoreError::ReplayInfeasible`]).
+    /// Replay cannot score this encoding over this profile
+    /// ([`CoreError::ReplayInfeasible`]): a cycle-state encoder, or a
+    /// profile that enters an encoded block mid-stream.
     ReplayInfeasible,
 }
 
@@ -579,32 +565,29 @@ pub enum EvalPath {
     FullSim(FullSimReason),
 }
 
-/// Evaluates via replay when `needs` allow it and a profile is available,
-/// falling back to full simulation otherwise — the two paths return
-/// bit-identical [`Evaluation`]s, so callers choose on cost, not result.
+/// Evaluates via replay when `needs` and the encoder allow it and a
+/// profile is available, falling back to full simulation otherwise — the
+/// two paths return bit-identical [`Evaluation`]s, so callers choose on
+/// cost, not result. A [`ReplayClass::CycleState`] encoder always goes to
+/// full simulation, so it can never be silently scored by the stateless
+/// replay path.
 ///
 /// A [`ReplayBasis`] is built from `profile` only when the route reaches
 /// replay.
 ///
 /// # Errors
 ///
-/// As [`evaluate`] / [`evaluate_replay`] (a replay-infeasible profile is
-/// not an error: it falls back to full simulation).
+/// As [`evaluate`] / [`evaluate_replay`] (a replay-infeasible encoder or
+/// profile is not an error: it falls back to full simulation).
 pub fn evaluate_auto(
     program: &Program,
-    encoded: &EncodedProgram,
+    encoder: &dyn Encoder,
     max_steps: u64,
     profile: Option<&FetchEdgeProfile>,
     needs: EvalNeeds,
 ) -> Result<(Evaluation, EvalPath), CoreError> {
     let basis = profile.map(|profile| move || ReplayBasis::new(program, profile));
-    route(
-        (),
-        needs,
-        basis,
-        |(), basis| basis.replay(program, encoded),
-        |()| evaluate(program, encoded, max_steps),
-    )
+    route(program, encoder, max_steps, needs, basis)
 }
 
 /// [`evaluate_auto`] with the replay basis already built: the same route,
@@ -615,57 +598,54 @@ pub fn evaluate_auto(
 /// As [`evaluate_auto`].
 pub fn evaluate_auto_with(
     program: &Program,
-    encoded: &EncodedProgram,
+    encoder: &dyn Encoder,
     max_steps: u64,
     basis: Option<&ReplayBasis>,
     needs: EvalNeeds,
 ) -> Result<(Evaluation, EvalPath), CoreError> {
     let basis = basis.map(|basis| move || Ok(basis));
-    route(
-        (),
-        needs,
-        basis,
-        |(), basis| basis.replay(program, encoded),
-        |()| evaluate(program, encoded, max_steps),
-    )
+    route(program, encoder, max_steps, needs, basis)
 }
 
-/// The route every auto evaluator takes: full simulation when `needs`
+/// The route both auto evaluators take: full simulation when `needs`
 /// demand it or no basis can be had; otherwise replay over the basis
-/// (obtained only now), falling back to full simulation when replay is
-/// infeasible. `subject` is what both paths evaluate, handed to whichever
-/// runs.
-pub(crate) fn route<S, B: Borrow<ReplayBasis>, E>(
-    mut subject: S,
+/// (obtained only now, and not at all for a cycle-state encoder), falling
+/// back to full simulation when replay is infeasible.
+fn route<B: Borrow<ReplayBasis>>(
+    program: &Program,
+    encoder: &dyn Encoder,
+    max_steps: u64,
     needs: EvalNeeds,
     basis: Option<impl FnOnce() -> Result<B, CoreError>>,
-    replay: impl FnOnce(&mut S, &ReplayBasis) -> Result<E, CoreError>,
-    full: impl FnOnce(&mut S) -> Result<E, CoreError>,
-) -> Result<(E, EvalPath), CoreError> {
+) -> Result<(Evaluation, EvalPath), CoreError> {
+    let full = |reason| {
+        Ok((
+            evaluate(program, encoder, max_steps)?,
+            EvalPath::FullSim(reason),
+        ))
+    };
     if let Some(reason) = needs.full_sim_reason() {
-        return Ok((full(&mut subject)?, EvalPath::FullSim(reason)));
+        return full(reason);
     }
     let Some(basis) = basis else {
-        return Ok((
-            full(&mut subject)?,
-            EvalPath::FullSim(FullSimReason::NoProfile),
-        ));
+        return full(FullSimReason::NoProfile);
     };
-    match basis().and_then(|basis| replay(&mut subject, basis.borrow())) {
+    let replayed = refuse_cycle_state(program, encoder)
+        .and_then(|()| basis())
+        .and_then(|basis| basis.borrow().replay(program, encoder));
+    match replayed {
         Ok(evaluation) => Ok((evaluation, EvalPath::Replay)),
-        Err(CoreError::ReplayInfeasible { .. }) => Ok((
-            full(&mut subject)?,
-            EvalPath::FullSim(FullSimReason::ReplayInfeasible),
-        )),
+        Err(CoreError::ReplayInfeasible { .. }) => full(FullSimReason::ReplayInfeasible),
         Err(e) => Err(e),
     }
 }
 
 /// Publishes one evaluation under the thread's current context label:
 /// labelled transition gauges plus a structured `eval` event carrying the
-/// per-lane breakdown (validated lane-sum-equals-total by `imt obs check`).
-/// Both evaluation paths publish the same metrics, including the bus
-/// gauges [`DataBusMonitor::publish_obs`] would emit.
+/// per-lane breakdown and the extra-line transitions (validated
+/// lanes-plus-extra-equals-total by `imt obs check`). Both evaluation
+/// paths publish the same metrics, including the bus gauges
+/// [`DataBusMonitor::publish_obs`] would emit.
 fn publish_eval_obs(eval: &Evaluation) {
     use imt_obs::json::Json;
     let label = imt_obs::current_label();
@@ -688,6 +668,10 @@ fn publish_eval_obs(eval: &Evaluation) {
             ("fetches", Json::U64(eval.fetches)),
             ("baseline_transitions", Json::U64(eval.baseline_transitions)),
             ("encoded_transitions", Json::U64(eval.encoded_transitions)),
+            (
+                "extra_line_transitions",
+                Json::U64(eval.extra_line_transitions()),
+            ),
             ("reduction_percent", Json::F64(eval.reduction_percent())),
             ("decoded_fetches", Json::U64(eval.decoded_fetches)),
             ("passthrough_fetches", Json::U64(eval.passthrough_fetches)),
@@ -717,7 +701,7 @@ fn publish_eval_obs(eval: &Evaluation) {
 mod tests {
     use super::*;
     use crate::config::EncoderConfig;
-    use crate::pipeline::encode_program;
+    use crate::pipeline::{encode_program, EncodedProgram};
     use imt_bitcode::block::OverlapHistory;
     use imt_bitcode::TransformSet;
     use imt_isa::asm::assemble;

@@ -2,14 +2,12 @@
 //!
 //! The paper's TT/BBIT transformation is one point in the low-power
 //! instruction-bus encoding design space. This module defines the
-//! [`Encoder`] trait — encode, decode, hardware cost, transition delta,
-//! plus a serializable [`SchemeDescriptor`] — and implements four
-//! competitors behind it:
+//! [`Encoder`] trait — stored image, decode proof, full-simulation bus
+//! model and hardware cost, plus a serializable [`SchemeDescriptor`] —
+//! and implements it for four schemes:
 //!
-//! * [`TtBbitScheme`] — the paper's scheme, wrapping the existing
-//!   [`crate::encode_program`] / [`crate::eval::evaluate_replay`] pipeline unchanged,
-//!   so every number it reports stays byte-identical to the committed
-//!   results.
+//! * [`EncodedProgram`] — the paper's TT/BBIT transformation, as
+//!   [`crate::encode_program`] and [`crate::pipeline::select`] build it.
 //! * [`GrayScheme`] — memoryless Gray word sequencing
 //!   (`w ^ (w >> 1)`), zero storage, a 31-XOR restore ripple.
 //! * [`LowWeightScheme`] — a Chee & Colbourn-style memoryless
@@ -17,6 +15,11 @@
 //!   light codewords guaranteed absent from the text.
 //! * [`BusInvertScheme`] — Stan & Burleson bus-invert: memory is
 //!   untouched, the drive decision depends on the live bus state.
+//!
+//! One set of evaluators in [`crate::eval`] scores every scheme: full
+//! simulation ([`crate::eval::evaluate`]), closed-form replay
+//! ([`crate::eval::ReplayBasis::replay`]) and the router between them
+//! ([`crate::eval::evaluate_auto`]).
 //!
 //! ## Replay classes
 //!
@@ -27,12 +30,13 @@
 //!
 //! * `Memoryless` — the stored word is a pure function of the original
 //!   word; decode verification is per-word.
-//! * `BlockState` — per-block decoder state (TT/BBIT); replayable under
-//!   the single-entry span check of [`crate::eval::evaluate_replay`].
+//! * `BlockState` — per-block decoder state (TT/BBIT); replayable when
+//!   the profile enters no index its [`DecodeProof`] marks
+//!   sequential-only.
 //! * `CycleState` — the driven bus depends on unbounded fetch history
-//!   (bus-invert); **never** replayable. [`evaluate_scheme_replay`]
-//!   refuses with [`CoreError::ReplayInfeasible`], and
-//!   [`evaluate_scheme_auto`] routes to full simulation.
+//!   (bus-invert); **never** replayable. Replay refuses it with
+//!   [`CoreError::ReplayInfeasible`], and [`crate::eval::evaluate_auto`]
+//!   routes it to full simulation.
 //!
 //! ## Per-lane auto-selection
 //!
@@ -49,21 +53,14 @@
 //! majority vote) cannot decode from a lane subset and only compete
 //! whole-bus.
 
-use std::borrow::Borrow;
-
 use imt_bitcode::businvert::BusInvertState;
 use imt_bitcode::gray::{gray_image, ungray_word};
 use imt_bitcode::lowweight::LowWeightBook;
 use imt_isa::program::Program;
-use imt_sim::bus::DataBusMonitor;
-use imt_sim::cpu::{Cpu, FetchSink};
 use imt_sim::edge::FetchEdgeProfile;
 
 use crate::error::CoreError;
-use crate::eval::{
-    evaluate, pc_to_index, route, run_buffer, verify_spans, DecodeCheck, EvalNeeds, EvalPath,
-    Evaluation, ReplayBasis,
-};
+use crate::eval::{evaluate_auto, DecodeCheck, EvalNeeds, EvalPath, Evaluation};
 use crate::hardware::FetchDecoder;
 use crate::pipeline::{encode_program, EncodedProgram, BUS_WIDTH};
 use crate::EncoderConfig;
@@ -75,7 +72,7 @@ pub enum ReplayClass {
     /// verification is per-word; transitions replay closed-form.
     Memoryless,
     /// Per-block decoder state (TT/BBIT). Replayable under the
-    /// single-entry span check of [`crate::eval::evaluate_replay`].
+    /// single-entry check of [`crate::eval::ReplayBasis::replay`].
     BlockState,
     /// The driven bus depends on unbounded cycle history. Never
     /// replayable from a stateless edge profile — full simulation only.
@@ -152,28 +149,47 @@ impl SchemeSpec {
     ];
 }
 
-/// One full-simulation fetch through a scheme's bus model: what the
-/// receiver restores, what physically sits on the data lines, and any
-/// extra-control-line activity this cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimFetch {
-    /// The word the core sees after restore.
-    pub restored: u32,
-    /// Physical data-line state after this drive (a monitor over these
-    /// reproduces the scheme's data transitions exactly).
-    pub driven: u32,
-    /// Transitions on extra control lines (invert line) this cycle.
-    pub extra_transitions: u64,
+/// What a passed decode proof establishes, per text index: the two facts
+/// replay needs to count from a stateless edge profile.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodeProof {
+    /// Fetches of this index are served by restore logic: members of a
+    /// TT/BBIT block, or memoryless words stored differently from the
+    /// original.
+    pub decoded: Vec<bool>,
+    /// This index restores correctly only when fetched right after its
+    /// predecessor: the interior of a TT/BBIT block. No index of a
+    /// memoryless image is.
+    pub sequential_only: Vec<bool>,
+}
+
+/// The receiver-side model one full simulation drives its fetches through
+/// ([`Encoder::bus_model`]), in its power-on state.
+// One per evaluation, owned by its sink; boxing the decoder would put a
+// pointer chase on every run of the hot path to save stack bytes.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum BusModel {
+    /// A static image: each stored word is driven as it is and restores
+    /// to the word at the same text index here.
+    Memoryless(Vec<u32>),
+    /// The TT/BBIT fetch decoder: stored words are driven as they are and
+    /// restored through the tables (per-block state).
+    Decoder(FetchDecoder),
+    /// Bus-invert drive logic: each stored word is driven plain or
+    /// complemented against the live bus (per-cycle state), and the
+    /// invert line's transitions are charged to the scheme.
+    BusInvert(BusInvertState),
 }
 
 /// A built encoding of one program: the arena's pluggable surface.
 ///
-/// Implementations are constructed by [`build_scheme`]. Evaluation goes
-/// through [`evaluate_scheme_replay`] / [`evaluate_scheme_full`] /
-/// [`evaluate_scheme_auto`], which route on [`Encoder::replay_class`]
-/// and [`Encoder::as_tt`] — the TT/BBIT implementor delegates to the
-/// original [`evaluate`] / [`crate::eval::evaluate_replay`] pipeline unchanged, so
-/// its numbers stay byte-identical to the pre-arena results.
+/// Implementations are built by [`build_scheme`] (TT/BBIT also by
+/// [`crate::encode_program`] and [`crate::pipeline::select`]) and do not
+/// change afterwards. Every evaluator in [`crate::eval`] takes a
+/// `&dyn Encoder`: replay prices [`Encoder::stored_image`] under the
+/// facts of [`Encoder::verify_decode`], and full simulation drives each
+/// run through a fresh [`Encoder::bus_model`].
 pub trait Encoder {
     /// Scheme name (matches [`SchemeSpec::name`]).
     fn name(&self) -> &'static str;
@@ -192,30 +208,29 @@ pub trait Encoder {
     /// the original text.
     fn stored_image(&self) -> &[u32];
 
-    /// Per-word restore for [`ReplayClass::Memoryless`] schemes. Block-
-    /// and cycle-state schemes keep the identity default; their decode
-    /// is verified by their own paths ([`crate::eval::evaluate_replay`]'s span walk,
-    /// the full-simulation drive model).
+    /// Per-word restore of a static image. The TT/BBIT and bus-invert
+    /// implementors keep the identity default: their restore is their
+    /// [`Encoder::bus_model`].
     fn decode_word(&self, stored: u32) -> u32 {
         stored
     }
 
-    /// Statically verify that the stored image restores to
-    /// `program.text` exactly.
+    /// Statically proves that the stored image restores to
+    /// `program.text` exactly. The default proves a static image word by
+    /// word through [`Encoder::decode_word`].
     ///
     /// # Errors
     ///
     /// [`CoreError::DecodeMismatch`] on the first word that fails, and
     /// [`CoreError::TableImage`] if the image length is wrong.
-    fn verify_decode(&self, program: &Program) -> Result<(), CoreError> {
-        if self.stored_image().len() != program.text.len() {
+    fn verify_decode(&self, program: &Program) -> Result<DecodeProof, CoreError> {
+        let stored = self.stored_image();
+        if stored.len() != program.text.len() {
             return Err(CoreError::TableImage {
                 detail: "stored image length differs from the program text",
             });
         }
-        for (index, (&expected, &stored)) in
-            program.text.iter().zip(self.stored_image()).enumerate()
-        {
+        for (index, (&expected, &stored)) in program.text.iter().zip(stored).enumerate() {
             let decoded = self.decode_word(stored);
             if decoded != expected {
                 return Err(CoreError::DecodeMismatch {
@@ -225,57 +240,27 @@ pub trait Encoder {
                 });
             }
         }
-        Ok(())
+        Ok(DecodeProof {
+            decoded: program
+                .text
+                .iter()
+                .zip(stored)
+                .map(|(o, s)| o != s)
+                .collect(),
+            sequential_only: vec![false; stored.len()],
+        })
     }
 
-    /// Full-simulation fetch hook, stateful across a run ([`Encoder::reset`]
-    /// returns to power-on state). The default models a static image:
-    /// the stored word is driven as-is and restored per-word. Only
-    /// cycle-state schemes override it; the TT/BBIT implementor never
-    /// reaches it (evaluation routes through [`Encoder::as_tt`]).
-    fn sim_fetch(&mut self, pc: u32, stored: u32) -> SimFetch {
-        let _ = pc;
-        SimFetch {
-            restored: self.decode_word(stored),
-            driven: stored,
-            extra_transitions: 0,
-        }
-    }
-
-    /// Full-simulation hook for a straight-line run of fetches from `pc`,
-    /// `pc + 4`, …: writes each fetch's [`SimFetch::restored`] and
-    /// [`SimFetch::driven`] word and returns the run's extra-line
-    /// transitions. Must equal [`Encoder::sim_fetch`] on each fetch in
-    /// order, which the default does; all three slices have one word per
-    /// fetch. Full simulation makes one dynamic call per run here; the
-    /// default's loop is compiled per scheme and calls `sim_fetch`
-    /// statically.
-    fn sim_run(
-        &mut self,
-        pc: u32,
-        stored: &[u32],
-        restored: &mut [u32],
-        driven: &mut [u32],
-    ) -> u64 {
-        let mut extra = 0;
-        for (i, ((&stored, restored), driven)) in
-            stored.iter().zip(restored).zip(driven).enumerate()
-        {
-            let step = self.sim_fetch(pc.wrapping_add(4 * i as u32), stored);
-            (*restored, *driven) = (step.restored, step.driven);
-            extra += step.extra_transitions;
-        }
-        extra
-    }
-
-    /// Returns the bus model to power-on state.
-    fn reset(&mut self);
-
-    /// The TT/BBIT instance behind this scheme, when it is one — the
-    /// evaluation routers delegate to the original (byte-identical)
-    /// pipeline evaluators for it.
-    fn as_tt(&self) -> Option<&EncodedProgram> {
-        None
+    /// The bus model full simulation drives, in its power-on state. The
+    /// default drives the stored image as it is and restores each word
+    /// through [`Encoder::decode_word`].
+    fn bus_model(&self) -> BusModel {
+        BusModel::Memoryless(
+            self.stored_image()
+                .iter()
+                .map(|&stored| self.decode_word(stored))
+                .collect(),
+        )
     }
 }
 
@@ -294,9 +279,7 @@ pub fn build_scheme(
     config: &EncoderConfig,
 ) -> Result<Box<dyn Encoder>, CoreError> {
     match spec {
-        SchemeSpec::TtBbit => Ok(Box::new(TtBbitScheme::new(encode_program(
-            program, per_index, config,
-        )?))),
+        SchemeSpec::TtBbit => Ok(Box::new(encode_program(program, per_index, config)?)),
         SchemeSpec::Gray => Ok(Box::new(GrayScheme::new(program))),
         SchemeSpec::LowWeight { entries } => {
             Ok(Box::new(LowWeightScheme::new(program, per_index, entries)))
@@ -305,27 +288,27 @@ pub fn build_scheme(
     }
 }
 
-/// The paper's TT/BBIT transformation behind the arena trait: a thin
-/// wrapper over [`EncodedProgram`] whose evaluation delegates to the
-/// original pipeline evaluators (see [`Encoder::as_tt`]).
-#[derive(Debug, Clone)]
-pub struct TtBbitScheme {
-    encoded: EncodedProgram,
+/// [`evaluate_auto`] in its former arena signature, scheme first and
+/// mutable. `imt_benchmark` calls it, and that harness changes only with
+/// the benchmark itself.
+///
+/// # Errors
+///
+/// As [`evaluate_auto`].
+pub fn evaluate_scheme_auto(
+    scheme: &mut dyn Encoder,
+    program: &Program,
+    max_steps: u64,
+    profile: Option<&FetchEdgeProfile>,
+    needs: EvalNeeds,
+) -> Result<(Evaluation, EvalPath), CoreError> {
+    evaluate_auto(program, scheme, max_steps, profile, needs)
 }
 
-impl TtBbitScheme {
-    /// Wraps an already-encoded program.
-    pub fn new(encoded: EncodedProgram) -> TtBbitScheme {
-        TtBbitScheme { encoded }
-    }
-
-    /// The wrapped pipeline output.
-    pub fn encoded(&self) -> &EncodedProgram {
-        &self.encoded
-    }
-}
-
-impl Encoder for TtBbitScheme {
+/// The paper's TT/BBIT transformation: its stored image is the encoded
+/// text, its decode proof the span walk, and its bus model the hardware
+/// [`FetchDecoder`] over its tables.
+impl Encoder for EncodedProgram {
     fn name(&self) -> &'static str {
         "tt"
     }
@@ -335,7 +318,7 @@ impl Encoder for TtBbitScheme {
     }
 
     fn descriptor(&self) -> SchemeDescriptor {
-        let config = &self.encoded.config;
+        let config = &self.config;
         SchemeDescriptor::TtBbit {
             block_size: config.block_size() as u32,
             overlap: match config.overlap() {
@@ -349,7 +332,7 @@ impl Encoder for TtBbitScheme {
     }
 
     fn cost(&self) -> SchemeCost {
-        let budget = crate::hardware::HardwareBudget::of_schedule(&self.encoded);
+        let budget = crate::hardware::HardwareBudget::of_schedule(self);
         SchemeCost {
             storage_bits: budget.total_bits(),
             extra_lines: 0,
@@ -358,19 +341,98 @@ impl Encoder for TtBbitScheme {
     }
 
     fn stored_image(&self) -> &[u32] {
-        &self.encoded.text
+        &self.text
     }
 
-    fn verify_decode(&self, program: &Program) -> Result<(), CoreError> {
-        // The span walk of the replay evaluator is the decode proof.
-        verify_spans(program, &self.encoded).map(drop)
+    /// The span walk: each scheduled block's fetch sequence once through
+    /// the hardware decoder, then the words outside every block, which
+    /// must hold the originals (they pass through the decoder untouched).
+    /// A BBIT hit resets the decoder and blocks are strictly sequential
+    /// inside, so one walk per block witnesses every traversal that
+    /// enters the block at its start.
+    fn verify_decode(&self, program: &Program) -> Result<DecodeProof, CoreError> {
+        let text_len = program.text.len();
+        if self.text.len() != text_len {
+            return Err(CoreError::TableImage {
+                detail: "encoded image length differs from the program text",
+            });
+        }
+        let mut decoded = vec![false; text_len];
+        let mut block_start = vec![false; text_len];
+        let mut check = DecodeCheck::default();
+        let restored = walk_spans(self, &self.text, |start, end, restored| {
+            decoded[start..end].fill(true);
+            block_start[start] = true;
+            let pc = self.text_base + 4 * start as u32;
+            check.run(pc, restored, &program.text[start..end]);
+            check.result()
+        })?;
+        check.run(self.text_base, &restored, &program.text);
+        check.result()?;
+        let sequential_only = decoded
+            .iter()
+            .zip(&block_start)
+            .map(|(&decoded, &start)| decoded && !start)
+            .collect();
+        Ok(DecodeProof {
+            decoded,
+            sequential_only,
+        })
     }
 
-    fn reset(&mut self) {}
-
-    fn as_tt(&self) -> Option<&EncodedProgram> {
-        Some(&self.encoded)
+    fn bus_model(&self) -> BusModel {
+        BusModel::Decoder(fetch_decoder(self))
     }
+}
+
+/// The unprotected fetch decoder over `encoded`'s tables, in its
+/// power-on state.
+fn fetch_decoder(encoded: &EncodedProgram) -> FetchDecoder {
+    FetchDecoder::new(
+        &encoded.tt,
+        &encoded.bbit,
+        BUS_WIDTH,
+        encoded.config.block_size(),
+        encoded.config.overlap(),
+    )
+}
+
+/// The TT/BBIT span walk: restores `image` through the hardware fetch
+/// decoder along every scheduled block, each entered at its start PC, and
+/// hands `visit` each block's index range and restored words right after
+/// walking it. Words outside every block pass through. Returns the
+/// restored image.
+///
+/// # Errors
+///
+/// [`CoreError::TableImage`] if a block leaves the image; whatever
+/// `visit` returns.
+fn walk_spans(
+    encoded: &EncodedProgram,
+    image: &[u32],
+    mut visit: impl FnMut(usize, usize, &[u32]) -> Result<(), CoreError>,
+) -> Result<Vec<u32>, CoreError> {
+    let mut decoder = fetch_decoder(encoded);
+    let mut restored = image.to_vec();
+    for (start_pc, end_pc) in decoder.scheduled_spans() {
+        let start = pc_to_index(start_pc, encoded.text_base, image.len())?;
+        let end = pc_to_index(end_pc.wrapping_sub(4), encoded.text_base, image.len())? + 1;
+        decoder.reset();
+        decoder.restore_run(start_pc, &image[start..end], &mut restored[start..end]);
+        visit(start, end, &restored[start..end])?;
+    }
+    Ok(restored)
+}
+
+fn pc_to_index(pc: u32, text_base: u32, text_len: usize) -> Result<usize, CoreError> {
+    let offset = pc.wrapping_sub(text_base);
+    let index = (offset / 4) as usize;
+    if pc < text_base || !offset.is_multiple_of(4) || index >= text_len {
+        return Err(CoreError::TableImage {
+            detail: "scheduled span outside the text image",
+        });
+    }
+    Ok(index)
 }
 
 /// Gray word sequencing: stored word `w ^ (w >> 1)`, restored by the
@@ -418,8 +480,6 @@ impl Encoder for GrayScheme {
     fn decode_word(&self, stored: u32) -> u32 {
         ungray_word(stored)
     }
-
-    fn reset(&mut self) {}
 }
 
 /// Memoryless low-weight codebook: a small CAM over the hottest words.
@@ -475,8 +535,6 @@ impl Encoder for LowWeightScheme {
     fn decode_word(&self, stored: u32) -> u32 {
         self.book.decode_word(stored)
     }
-
-    fn reset(&mut self) {}
 }
 
 /// Bus-invert coding: memory untouched, the drive decision depends on
@@ -485,7 +543,6 @@ impl Encoder for LowWeightScheme {
 #[derive(Debug, Clone)]
 pub struct BusInvertScheme {
     text: Vec<u32>,
-    state: BusInvertState,
 }
 
 impl BusInvertScheme {
@@ -493,7 +550,6 @@ impl BusInvertScheme {
     pub fn new(program: &Program) -> BusInvertScheme {
         BusInvertScheme {
             text: program.text.clone(),
-            state: BusInvertState::new(),
         }
     }
 }
@@ -526,333 +582,9 @@ impl Encoder for BusInvertScheme {
         &self.text
     }
 
-    // Inlined into the default `sim_run`, which full simulation calls
-    // once per run: that loop is then one drive loop.
-    #[inline]
-    fn sim_fetch(&mut self, _pc: u32, stored: u32) -> SimFetch {
-        let step = self.state.drive(stored);
-        SimFetch {
-            restored: BusInvertState::restore(&step),
-            driven: step.bus,
-            extra_transitions: step.invert_transitions,
-        }
+    fn bus_model(&self) -> BusModel {
+        BusModel::BusInvert(BusInvertState::new())
     }
-
-    fn reset(&mut self) {
-        self.state = BusInvertState::new();
-    }
-}
-
-/// What a scheme evaluation reports: the common currency every arena
-/// row is priced in. `encoded_transitions` includes any extra control
-/// lines ([`SchemeEvaluation::extra_line_transitions`]), so per-lane
-/// data counts sum to `encoded_transitions - extra_line_transitions`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchemeEvaluation {
-    /// Instructions fetched.
-    pub fetches: u64,
-    /// Transitions the unencoded bus would have had.
-    pub baseline_transitions: u64,
-    /// Transitions under the scheme, extra control lines included.
-    pub encoded_transitions: u64,
-    /// Per-data-lane baseline transitions (32 entries).
-    pub per_lane_baseline: Vec<u64>,
-    /// Per-data-lane encoded transitions (32 entries).
-    pub per_lane_encoded: Vec<u64>,
-    /// Transitions on extra control lines (bus-invert's invert line).
-    pub extra_line_transitions: u64,
-    /// Fetches whose stored word differed from the original (served by
-    /// the restore logic rather than passing through).
-    pub decoded_fetches: u64,
-    /// Decode failures (always 0 on a successful evaluation — a
-    /// mismatch is a typed error, never a silently wrong number).
-    pub decode_mismatches: u64,
-    /// Program exit code (behaviour must be unchanged).
-    pub exit_code: i32,
-    /// Program stdout (behaviour must be unchanged).
-    pub stdout: String,
-}
-
-impl SchemeEvaluation {
-    /// Percentage of bus transitions eliminated.
-    pub fn reduction_percent(&self) -> f64 {
-        if self.baseline_transitions == 0 {
-            return 0.0;
-        }
-        (self.baseline_transitions as f64 - self.encoded_transitions as f64)
-            / self.baseline_transitions as f64
-            * 100.0
-    }
-
-    fn from_evaluation(eval: Evaluation) -> SchemeEvaluation {
-        SchemeEvaluation {
-            fetches: eval.fetches,
-            baseline_transitions: eval.baseline_transitions,
-            encoded_transitions: eval.encoded_transitions,
-            per_lane_baseline: eval.per_lane_baseline,
-            per_lane_encoded: eval.per_lane_encoded,
-            extra_line_transitions: 0,
-            decoded_fetches: eval.decoded_fetches,
-            decode_mismatches: eval.decode_mismatches,
-            exit_code: eval.exit_code,
-            stdout: eval.stdout,
-        }
-    }
-
-    /// Maps into the pipeline [`Evaluation`] shape carried by the serve
-    /// and wire layers. `decoded_fetches`/`passthrough_fetches` keep the
-    /// stored-word-differs convention; extra-line transitions stay
-    /// folded into `encoded_transitions`.
-    pub fn to_evaluation(&self) -> Evaluation {
-        Evaluation {
-            fetches: self.fetches,
-            baseline_transitions: self.baseline_transitions,
-            encoded_transitions: self.encoded_transitions,
-            per_lane_baseline: self.per_lane_baseline.clone(),
-            per_lane_encoded: self.per_lane_encoded.clone(),
-            decode_mismatches: self.decode_mismatches,
-            decoded_fetches: self.decoded_fetches,
-            passthrough_fetches: self.fetches - self.decoded_fetches,
-            exit_code: self.exit_code,
-            stdout: self.stdout.clone(),
-        }
-    }
-}
-
-/// Scores `scheme` closed-form over a recorded edge profile.
-///
-/// This builds the profile's [`ReplayBasis`] and runs
-/// [`evaluate_scheme_replay_with`] once.
-///
-/// # Errors
-///
-/// [`CoreError::ReplayInfeasible`] for [`ReplayClass::CycleState`]
-/// schemes — their bus state depends on fetch *order*, which the edge
-/// multiset does not witness — and whatever [`crate::eval::evaluate_replay`] reports
-/// for the TT/BBIT scheme (including its own infeasibility check).
-/// Memoryless schemes report [`CoreError::ProfileLength`] on a profile
-/// for different text and [`CoreError::DecodeMismatch`] if the image
-/// fails its per-word restore proof.
-pub fn evaluate_scheme_replay(
-    scheme: &dyn Encoder,
-    program: &Program,
-    profile: &FetchEdgeProfile,
-) -> Result<SchemeEvaluation, CoreError> {
-    if let Some(refusal) = replay_refusal(scheme, program) {
-        return Err(refusal);
-    }
-    evaluate_scheme_replay_with(scheme, program, &ReplayBasis::new(program, profile)?)
-}
-
-/// [`evaluate_scheme_replay`] against a prebuilt [`ReplayBasis`]: the
-/// TT/BBIT scheme goes through [`ReplayBasis::replay`], a memoryless
-/// scheme is proven word by word and priced over the basis's edges.
-///
-/// # Errors
-///
-/// As [`evaluate_scheme_replay`]; [`CoreError::ProfileLength`] also when
-/// `program` is not the length of the program the basis was built for.
-pub fn evaluate_scheme_replay_with(
-    scheme: &dyn Encoder,
-    program: &Program,
-    basis: &ReplayBasis,
-) -> Result<SchemeEvaluation, CoreError> {
-    if let Some(refusal) = replay_refusal(scheme, program) {
-        return Err(refusal);
-    }
-    if let Some(encoded) = scheme.as_tt() {
-        return Ok(SchemeEvaluation::from_evaluation(
-            basis.replay(program, encoded)?,
-        ));
-    }
-    basis.check_program(program)?;
-    scheme.verify_decode(program)?;
-    let stored = scheme.stored_image();
-    let (encoded_transitions, per_lane_encoded) = basis.transitions(stored);
-    let decoded_fetches: u64 = basis
-        .per_index()
-        .iter()
-        .zip(program.text.iter().zip(stored))
-        .filter(|&(_, (&orig, &s))| orig != s)
-        .map(|(&count, _)| count)
-        .sum();
-    Ok(SchemeEvaluation::from_evaluation(basis.evaluation(
-        encoded_transitions,
-        per_lane_encoded,
-        decoded_fetches,
-    )))
-}
-
-/// Why `scheme` can never be replayed, whatever the profile: cycle-state
-/// schemes depend on fetch order, and a block-state scheme is replayable
-/// only as the TT/BBIT image.
-fn replay_refusal(scheme: &dyn Encoder, program: &Program) -> Option<CoreError> {
-    if scheme.as_tt().is_some() {
-        return None;
-    }
-    match scheme.replay_class() {
-        ReplayClass::CycleState => Some(CoreError::ReplayInfeasible {
-            pc: program.text_base,
-        }),
-        ReplayClass::BlockState => Some(CoreError::TableImage {
-            detail: "block-state scheme without a TT/BBIT image",
-        }),
-        ReplayClass::Memoryless => None,
-    }
-}
-
-struct SchemeSink<'a> {
-    scheme: &'a mut dyn Encoder,
-    stored: &'a [u32],
-    text_base: u32,
-    baseline: DataBusMonitor,
-    driven: DataBusMonitor,
-    extra: u64,
-    decoded_fetches: u64,
-    check: DecodeCheck,
-    /// The current run's restored and driven words.
-    restored: Vec<u32>,
-    driven_words: Vec<u32>,
-}
-
-impl FetchSink for SchemeSink<'_> {
-    fn on_fetch(&mut self, pc: u32, word: u32) {
-        self.on_run(pc, std::slice::from_ref(&word));
-    }
-
-    /// Slices the stored image once per run and hands it to the scheme's
-    /// run-level bus model and the run-level bus counters; every fetch is
-    /// still restored and checked.
-    #[inline]
-    fn on_run(&mut self, pc: u32, words: &[u32]) {
-        self.baseline.observe_run(words);
-        let first = ((pc - self.text_base) / 4) as usize;
-        let stored = &self.stored[first..first + words.len()];
-        let restored = run_buffer(&mut self.restored, words.len());
-        let driven = run_buffer(&mut self.driven_words, words.len());
-        self.extra += self.scheme.sim_run(pc, stored, restored, driven);
-        self.driven.observe_run(driven);
-        self.decoded_fetches += stored.iter().zip(words).filter(|(s, w)| s != w).count() as u64;
-        self.check.run(pc, restored, words);
-    }
-}
-
-/// Scores `scheme` by full simulation, verifying the restore on every
-/// fetch — the only sound path for [`ReplayClass::CycleState`] schemes.
-///
-/// # Errors
-///
-/// [`CoreError::Sim`] if the program faults or exceeds `max_steps`;
-/// [`CoreError::DecodeMismatch`] if the restore is ever wrong.
-pub fn evaluate_scheme_full(
-    scheme: &mut dyn Encoder,
-    program: &Program,
-    max_steps: u64,
-) -> Result<SchemeEvaluation, CoreError> {
-    if let Some(encoded) = scheme.as_tt() {
-        return Ok(SchemeEvaluation::from_evaluation(evaluate(
-            program, encoded, max_steps,
-        )?));
-    }
-    scheme.reset();
-    let stored = scheme.stored_image().to_vec();
-    let mut cpu = Cpu::new(program)?;
-    let mut sink = SchemeSink {
-        scheme,
-        stored: &stored,
-        text_base: program.text_base,
-        baseline: DataBusMonitor::new(BUS_WIDTH),
-        driven: DataBusMonitor::new(BUS_WIDTH),
-        extra: 0,
-        decoded_fetches: 0,
-        check: DecodeCheck::default(),
-        restored: Vec::new(),
-        driven_words: Vec::new(),
-    };
-    let summary = cpu.run_with_sink(max_steps, &mut sink)?;
-    sink.check.result()?;
-    Ok(SchemeEvaluation {
-        fetches: summary.instructions,
-        baseline_transitions: sink.baseline.total_transitions(),
-        encoded_transitions: sink.driven.total_transitions() + sink.extra,
-        per_lane_baseline: sink.baseline.per_lane(),
-        per_lane_encoded: sink.driven.per_lane(),
-        extra_line_transitions: sink.extra,
-        decoded_fetches: sink.decoded_fetches,
-        decode_mismatches: sink.check.mismatches,
-        exit_code: summary.exit_code,
-        stdout: cpu.stdout().to_string(),
-    })
-}
-
-/// Scheme-aware analogue of [`crate::eval::evaluate_auto`]: replays when
-/// the scheme and the needs allow it, and routes everything else —
-/// including every [`ReplayClass::CycleState`] scheme — to full
-/// simulation with a typed reason. A per-cycle-state scheme can never be
-/// silently scored by the stateless replay path.
-///
-/// A [`ReplayBasis`] is built from `profile` only when the route reaches
-/// replay.
-///
-/// # Errors
-///
-/// Whatever the chosen path reports (other than
-/// [`CoreError::ReplayInfeasible`], which falls back to full
-/// simulation).
-pub fn evaluate_scheme_auto(
-    scheme: &mut dyn Encoder,
-    program: &Program,
-    max_steps: u64,
-    profile: Option<&FetchEdgeProfile>,
-    needs: EvalNeeds,
-) -> Result<(SchemeEvaluation, EvalPath), CoreError> {
-    let refusal = replay_refusal(scheme, program);
-    let basis = profile.map(|profile| {
-        move || match refusal {
-            Some(refusal) => Err(refusal),
-            None => ReplayBasis::new(program, profile),
-        }
-    });
-    route_scheme(scheme, program, max_steps, basis, needs)
-}
-
-/// [`evaluate_scheme_auto`] with the replay basis already built: the same
-/// route, with `basis` standing in for the profile it was built from.
-///
-/// # Errors
-///
-/// As [`evaluate_scheme_auto`].
-pub fn evaluate_scheme_auto_with(
-    scheme: &mut dyn Encoder,
-    program: &Program,
-    max_steps: u64,
-    basis: Option<&ReplayBasis>,
-    needs: EvalNeeds,
-) -> Result<(SchemeEvaluation, EvalPath), CoreError> {
-    let refusal = replay_refusal(scheme, program);
-    let basis = basis.map(|basis| {
-        move || match refusal {
-            Some(refusal) => Err(refusal),
-            None => Ok(basis),
-        }
-    });
-    route_scheme(scheme, program, max_steps, basis, needs)
-}
-
-fn route_scheme<B: Borrow<ReplayBasis>>(
-    scheme: &mut dyn Encoder,
-    program: &Program,
-    max_steps: u64,
-    basis: Option<impl FnOnce() -> Result<B, CoreError>>,
-    needs: EvalNeeds,
-) -> Result<(SchemeEvaluation, EvalPath), CoreError> {
-    route(
-        scheme,
-        needs,
-        basis,
-        |scheme, basis| evaluate_scheme_replay_with(&**scheme, program, basis),
-        |scheme| evaluate_scheme_full(&mut **scheme, program, max_steps),
-    )
 }
 
 // ---------------------------------------------------------------------
@@ -1377,12 +1109,13 @@ pub fn composite_image(
 }
 
 /// Statically verifies that the composite image decodes to the original
-/// text through the real hardware models: TT lanes run the
-/// [`FetchDecoder`] span walk over the *composite* words (per-lane
-/// decode is lane-local given the PC-driven walker), Gray lanes ripple
-/// from the already-restored higher lane, baseline lanes pass through.
+/// text through the real hardware models: TT lanes run the TT/BBIT span
+/// walk (the donor's own decode proof) over the *composite* words
+/// (per-lane decode is lane-local given the PC-driven walker), Gray lanes
+/// ripple from the already-restored higher lane, baseline lanes pass
+/// through.
 ///
-/// Sound under the same precondition as [`crate::eval::evaluate_replay`]: every
+/// Sound under the same precondition as the donor's replay: every
 /// dynamic entry into a scheduled block lands on its start PC, which
 /// the donor TT evaluation has already checked against the profile.
 ///
@@ -1404,24 +1137,7 @@ pub fn verify_composite_decode(
     }
     // TT-decode every composite word along the span walk; outside spans
     // the decoder passes words through untouched.
-    let mut tt_decoded = composite.to_vec();
-    let mut decoder = FetchDecoder::new(
-        &encoded.tt,
-        &encoded.bbit,
-        BUS_WIDTH,
-        encoded.config.block_size(),
-        encoded.config.overlap(),
-    );
-    for (start_pc, end_pc) in decoder.scheduled_spans() {
-        let start = pc_to_index(start_pc, encoded.text_base, text_len)?;
-        let end = pc_to_index(end_pc.wrapping_sub(4), encoded.text_base, text_len)? + 1;
-        decoder.reset();
-        decoder.restore_run(
-            start_pc,
-            &composite[start..end],
-            &mut tt_decoded[start..end],
-        );
-    }
+    let tt_decoded = walk_spans(encoded, composite, |_, _, _| Ok(()))?;
     for index in 0..text_len {
         let stored = composite[index];
         let mut decoded = 0u32;
@@ -1454,7 +1170,7 @@ pub fn verify_composite_decode(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate_auto, evaluate_replay, weighted_transitions, FullSimReason};
+    use crate::eval::{evaluate, evaluate_replay, weighted_transitions, FullSimReason};
     use imt_isa::asm::assemble;
     use proptest::prelude::*;
 
@@ -1488,7 +1204,7 @@ mod tests {
     fn bus_invert_replay_is_refused() {
         let (program, profile) = fixture();
         let scheme = BusInvertScheme::new(&program);
-        let err = evaluate_scheme_replay(&scheme, &program, &profile)
+        let err = evaluate_replay(&program, &scheme, &profile)
             .expect_err("cycle-state replay must be refused");
         assert!(
             matches!(err, CoreError::ReplayInfeasible { .. }),
@@ -1499,10 +1215,10 @@ mod tests {
     #[test]
     fn bus_invert_auto_routes_to_full_sim() {
         let (program, profile) = fixture();
-        let mut scheme = BusInvertScheme::new(&program);
-        let (eval, path) = evaluate_scheme_auto(
-            &mut scheme,
+        let scheme = BusInvertScheme::new(&program);
+        let (eval, path) = evaluate_auto(
             &program,
+            &scheme,
             MAX_STEPS,
             Some(&profile),
             EvalNeeds::transitions_only(),
@@ -1513,6 +1229,8 @@ mod tests {
         // Bus-invert never *adds* data transitions; with the invert line
         // charged it stays within one flip per word of baseline.
         assert!(eval.encoded_transitions <= eval.baseline_transitions + eval.fetches);
+        // The invert line is the only extra line, and it switched.
+        assert!(eval.extra_line_transitions() > 0);
     }
 
     #[test]
@@ -1525,36 +1243,54 @@ mod tests {
                 entries: SchemeSpec::DEFAULT_LOW_WEIGHT_ENTRIES,
             },
         ] {
-            let mut scheme = build_scheme(spec, &program, &per_index, &EncoderConfig::default())
+            let scheme = build_scheme(spec, &program, &per_index, &EncoderConfig::default())
                 .expect("build succeeds");
-            let replayed = evaluate_scheme_replay(scheme.as_ref(), &program, &profile)
-                .expect("replay succeeds");
-            let full = evaluate_scheme_full(scheme.as_mut(), &program, MAX_STEPS)
-                .expect("full sim succeeds");
+            let replayed =
+                evaluate_replay(&program, scheme.as_ref(), &profile).expect("replay succeeds");
+            let full = evaluate(&program, scheme.as_ref(), MAX_STEPS).expect("full sim succeeds");
             assert_eq!(replayed, full, "{}", spec.name());
+            assert_eq!(replayed.extra_line_transitions(), 0, "{}", spec.name());
         }
     }
 
     #[test]
-    fn tt_under_the_trait_is_bit_identical_to_the_pipeline() {
+    fn tt_built_by_the_registry_is_the_pipeline_encoding() {
         let (program, profile) = fixture();
         let per_index = profile.per_index_counts();
         let config = EncoderConfig::default();
-        let scheme = build_scheme(SchemeSpec::TtBbit, &program, &per_index, &config)
+        let built = build_scheme(SchemeSpec::TtBbit, &program, &per_index, &config)
             .expect("build succeeds");
-        let via_trait =
-            evaluate_scheme_replay(scheme.as_ref(), &program, &profile).expect("replay succeeds");
         let encoded = encode_program(&program, &per_index, &config).expect("encode succeeds");
-        let (direct, path) = evaluate_auto(
-            &program,
-            &encoded,
-            MAX_STEPS,
-            Some(&profile),
-            EvalNeeds::transitions_only(),
-        )
-        .expect("direct eval succeeds");
-        assert_eq!(path, EvalPath::Replay);
-        assert_eq!(via_trait, SchemeEvaluation::from_evaluation(direct));
+        assert_eq!(built.stored_image(), encoded.stored_image());
+        assert_eq!(built.descriptor(), encoded.descriptor());
+        assert_eq!(built.cost(), encoded.cost());
+        assert_eq!(
+            evaluate_replay(&program, built.as_ref(), &profile),
+            evaluate_replay(&program, &encoded, &profile)
+        );
+    }
+
+    #[test]
+    fn decode_proofs_mark_what_replay_needs() {
+        let (program, profile) = fixture();
+        let per_index = profile.per_index_counts();
+        let encoded = encode_program(&program, &per_index, &EncoderConfig::default())
+            .expect("encode succeeds");
+        let proof = encoded.verify_decode(&program).expect("TT decodes");
+        let hot = &encoded.report.encoded[0];
+        let start = (hot.start_pc - encoded.text_base) as usize / 4;
+        // A block's start may be entered from anywhere; its interior only
+        // from its predecessor. Every member decodes through the TT.
+        assert!(proof.decoded[start] && !proof.sequential_only[start]);
+        assert!(proof.decoded[start + 1] && proof.sequential_only[start + 1]);
+        assert!(!proof.decoded[0] && !proof.sequential_only[0]);
+
+        let gray = GrayScheme::new(&program);
+        let proof = gray.verify_decode(&program).expect("gray decodes");
+        assert!(proof.sequential_only.iter().all(|&only| !only));
+        for (index, &decoded) in proof.decoded.iter().enumerate() {
+            assert_eq!(decoded, gray.stored_image()[index] != program.text[index]);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use imt_bench::runner::kernel_profile;
 use imt_core::eval::{evaluate_auto, EvalNeeds, EvalPath};
-use imt_core::scheme::{build_scheme, evaluate_scheme_auto, SchemeSpec};
+use imt_core::scheme::{build_scheme, SchemeSpec};
 use imt_core::{encode_program, EncoderConfig};
 use imt_kernels::Kernel;
 use imt_net::chaos::ALL_INJECTIONS;
@@ -328,8 +328,8 @@ fn sweep_points() -> Vec<(Kernel, NetRequest)> {
 }
 
 /// What an in-process one-shot run computes for `request`:
-/// `encode_program` + `evaluate_auto` for TT/BBIT, `build_scheme` +
-/// `evaluate_scheme_auto` for the other schemes.
+/// `encode_program` for TT/BBIT or `build_scheme` for the other schemes,
+/// then `evaluate_auto`.
 fn one_shot_reference(kernel: Kernel, request: &NetRequest) -> NetCompleted {
     let spec = kernel.test_spec();
     let profile = kernel_profile(&spec);
@@ -351,17 +351,17 @@ fn one_shot_reference(kernel: Kernel, request: &NetRequest) -> NetCompleted {
                 (evaluation, path, encoded.report.encoded.len() as u64)
             }
             scheme => {
-                let mut built = build_scheme(scheme, &profile.program, &profile.profile, &config)
+                let built = build_scheme(scheme, &profile.program, &profile.profile, &config)
                     .expect("builds");
-                let (evaluation, path) = evaluate_scheme_auto(
-                    built.as_mut(),
+                let (evaluation, path) = evaluate_auto(
                     &profile.program,
+                    built.as_ref(),
                     spec.max_steps,
                     edges,
                     needs,
                 )
                 .expect("evaluates");
-                (evaluation.to_evaluation(), path, 0)
+                (evaluation, path, 0)
             }
         };
     NetCompleted {

@@ -346,8 +346,10 @@ fn str_field<'a>(doc: &'a Json, key: &str, ctx: &str) -> Result<&'a str, String>
 /// bucket counts must sum to `count`, span `min_ns <= max_ns`, any
 /// `eval` event's per-lane transition arrays must sum to its totals — the
 /// same invariant the e2e test asserts against
-/// `EncodedProgram::static_saved_transitions()` — and an optional
-/// `status` must be `"completed"` or `"aborted"`.
+/// `EncodedProgram::static_saved_transitions()`; the encoded total also
+/// carries the event's `extra_line_transitions` (bus-invert's invert
+/// line; 0 when absent) — and an optional `status` must be `"completed"`
+/// or `"aborted"`.
 pub fn validate(doc: &Json) -> Result<(), String> {
     let schema = str_field(doc, "schema", "manifest")?;
     if schema != SCHEMA {
@@ -436,9 +438,15 @@ pub fn validate(doc: &Json) -> Result<(), String> {
         str_field(ev, "label", &ctx)?;
         let fields = field(ev, "fields", &ctx)?;
         if kind == "eval" {
-            for (lanes_key, total_key) in [
-                ("per_lane_baseline", "baseline_transitions"),
-                ("per_lane_encoded", "encoded_transitions"),
+            let extra = match fields.get("extra_line_transitions") {
+                None => 0,
+                Some(extra) => extra
+                    .as_u64()
+                    .ok_or_else(|| format!("{ctx}: `extra_line_transitions` is not a u64"))?,
+            };
+            for (lanes_key, total_key, extra) in [
+                ("per_lane_baseline", "baseline_transitions", 0),
+                ("per_lane_encoded", "encoded_transitions", extra),
             ] {
                 let (Some(lanes), Some(total)) = (fields.get(lanes_key), fields.get(total_key))
                 else {
@@ -456,9 +464,10 @@ pub fn validate(doc: &Json) -> Result<(), String> {
                         .as_u64()
                         .ok_or_else(|| format!("{ctx}: `{lanes_key}` entry is not a u64"))?;
                 }
-                if sum != total {
+                if sum.checked_add(extra) != Some(total) {
                     return Err(format!(
-                        "{ctx}: `{lanes_key}` sums to {sum}, `{total_key}` is {total}"
+                        "{ctx}: `{lanes_key}` sums to {sum} with {extra} extra-line \
+                         transitions, `{total_key}` is {total}"
                     ));
                 }
             }
@@ -559,6 +568,44 @@ mod tests {
             let err = validate(&doc).unwrap_err();
             assert!(err.contains(fragment), "{src}: got {err}");
         }
+    }
+
+    #[test]
+    fn eval_lane_sums_carry_the_extra_line_transitions() {
+        let event = |fields: &str| {
+            format!(
+                r#"{{"schema":"imt-obs/v1","run":"x","metrics":[],"events":[
+                    {{"kind":"eval","label":"t","fields":{{{fields}}}}}]}}"#
+            )
+        };
+        let check = |fields: &str| validate(&Json::parse(&event(fields)).unwrap());
+        // Bus-invert: the data lanes plus the invert line make the total.
+        check(
+            r#""per_lane_baseline":[4,5],"baseline_transitions":9,
+               "per_lane_encoded":[2,3],"encoded_transitions":7,
+               "extra_line_transitions":2"#,
+        )
+        .unwrap();
+        // An event from before the field existed: no extra lines.
+        check(r#""per_lane_encoded":[2,3],"encoded_transitions":5"#).unwrap();
+        // Off by one either way still fails.
+        for total in [6, 8] {
+            let err = check(&format!(
+                r#""per_lane_encoded":[2,3],"encoded_transitions":{total},
+                   "extra_line_transitions":2"#
+            ))
+            .unwrap_err();
+            assert!(err.contains("sums to 5 with 2 extra-line"), "{err}");
+        }
+        // The extra lines never excuse a baseline that does not add up.
+        let err = check(
+            r#""per_lane_baseline":[4,5],"baseline_transitions":11,
+               "extra_line_transitions":2"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("`per_lane_baseline` sums to 9"), "{err}");
+        let err = check(r#""extra_line_transitions":-1"#).unwrap_err();
+        assert!(err.contains("not a u64"), "{err}");
     }
 
     #[test]

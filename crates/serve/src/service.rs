@@ -30,7 +30,7 @@ use std::sync::Mutex;
 
 use imt_core::eval::{evaluate_auto_with, ReplayBasis};
 use imt_core::pipeline::select;
-use imt_core::scheme::{build_scheme, evaluate_scheme_auto_with, SchemeSpec};
+use imt_core::scheme::{build_scheme, Encoder, SchemeSpec};
 use imt_core::{
     profile_cache, CodecSettings, CoreError, EncoderConfig, PreparedCodec, ProgramAnalysis,
 };
@@ -974,10 +974,12 @@ fn serve_job(
     imt_obs::trace::close_root("serve.request", trace, submitted_ns);
 }
 
-/// One request's actual work, given its kernel's warmed profile: select
-/// and replay, plus the codec preparation the first request per codec
-/// setting pays. Its only effects are the returned outcome and the codec
-/// memo (with its counters in `stats`).
+/// One request's actual work, given its kernel's warmed profile: build
+/// the encoding (for TT/BBIT, `select` over the warmed stages plus the
+/// codec preparation the first request per codec setting pays), evaluate
+/// it through the auto router, and fault-replay a TT/BBIT encoding when
+/// the request carries a fault plan. Its only effects are the returned
+/// outcome and the codec memo (with its counters in `stats`).
 fn execute(
     warm: &WarmProfile,
     request: &Request,
@@ -986,18 +988,39 @@ fn execute(
     if request.panic_in_worker {
         panic!("poisoned job (panic_in_worker test hook)");
     }
-    // Non-default schemes route through the arena's trait surface; the
-    // TT/BBIT default continues below on the original pipeline, byte
-    // for byte.
-    if request.scheme != SchemeSpec::TtBbit {
-        return execute_scheme(warm, request);
+    // Fault plans target TT/BBIT tables; another scheme refuses one rather
+    // than silently ignoring it.
+    if request.fault_plan.is_some() && request.scheme != SchemeSpec::TtBbit {
+        return Err(ServeError::Fault {
+            detail: format!(
+                "fault plans target TT/BBIT tables; scheme `{}` has none",
+                request.scheme.name()
+            ),
+        });
     }
     let encode_started = Instant::now();
-    let encoded = {
+    // TT/BBIT keeps its concrete encoding for the block count and the
+    // fault step; the other schemes are built behind the trait.
+    let mut tt = None;
+    let built;
+    let encoder: &dyn Encoder = {
         let _span = imt_obs::span!("serve.encode");
-        let analysis = warm.analysis.as_ref().map_err(Clone::clone)?;
-        let codec = warm.codec(analysis, &request.config, stats)?;
-        select(analysis, &codec, &request.config)?
+        match request.scheme {
+            SchemeSpec::TtBbit => {
+                let analysis = warm.analysis.as_ref().map_err(Clone::clone)?;
+                let codec = warm.codec(analysis, &request.config, stats)?;
+                tt.insert(select(analysis, &codec, &request.config)?)
+            }
+            scheme => {
+                built = build_scheme(
+                    scheme,
+                    &warm.program,
+                    warm.basis.per_index(),
+                    &request.config,
+                )?;
+                built.as_ref()
+            }
+        }
     };
     let encode_ns = encode_started.elapsed().as_nanos() as u64;
     let eval_started = Instant::now();
@@ -1005,7 +1028,7 @@ fn execute(
         let _span = imt_obs::span!("serve.eval");
         evaluate_auto_with(
             &warm.program,
-            &encoded,
+            encoder,
             request.spec.max_steps,
             Some(&warm.basis),
             request.needs,
@@ -1013,6 +1036,16 @@ fn execute(
     };
     let eval_ns = eval_started.elapsed().as_nanos() as u64;
     observe_stages(encode_ns, eval_ns);
+    let Some(encoded) = tt else {
+        return Ok(Completed {
+            evaluation,
+            path,
+            // The other schemes have no block schedule; zero keeps the
+            // field honest rather than inventing a TT-shaped count.
+            encoded_blocks: 0,
+            fault: None,
+        });
+    };
     let fault = match &request.fault_plan {
         None => None,
         Some(plan) => {
@@ -1045,61 +1078,13 @@ fn execute(
     })
 }
 
-/// Records one request's encode and eval stage times; `execute` and
-/// `execute_scheme` both feed the same `serve.stage.*` histograms.
+/// Records one request's encode and eval stage times in the
+/// `serve.stage.*` histograms.
 fn observe_stages(encode_ns: u64, eval_ns: u64) {
     if imt_obs::enabled() {
         imt_obs::registry::histogram("serve.stage.encode_ns").observe(encode_ns);
         imt_obs::registry::histogram("serve.stage.eval_ns").observe(eval_ns);
     }
-}
-
-/// Executes a non-TT/BBIT request through the [`imt_core::scheme`]
-/// arena: build the encoder, score it via the auto router (cycle-state
-/// schemes go to full simulation), and surface the result in the same
-/// [`Completed`] shape. Fault plans are a TT/BBIT table concern and are
-/// refused here rather than silently ignored.
-fn execute_scheme(warm: &WarmProfile, request: &Request) -> Result<Completed, ServeError> {
-    if request.fault_plan.is_some() {
-        return Err(ServeError::Fault {
-            detail: format!(
-                "fault plans target TT/BBIT tables; scheme `{}` has none",
-                request.scheme.name()
-            ),
-        });
-    }
-    let encode_started = Instant::now();
-    let mut scheme = {
-        let _span = imt_obs::span!("serve.encode");
-        build_scheme(
-            request.scheme,
-            &warm.program,
-            warm.basis.per_index(),
-            &request.config,
-        )?
-    };
-    let encode_ns = encode_started.elapsed().as_nanos() as u64;
-    let eval_started = Instant::now();
-    let (evaluation, path) = {
-        let _span = imt_obs::span!("serve.eval");
-        evaluate_scheme_auto_with(
-            scheme.as_mut(),
-            &warm.program,
-            request.spec.max_steps,
-            Some(&warm.basis),
-            request.needs,
-        )?
-    };
-    let eval_ns = eval_started.elapsed().as_nanos() as u64;
-    observe_stages(encode_ns, eval_ns);
-    Ok(Completed {
-        evaluation: evaluation.to_evaluation(),
-        path,
-        // The alternative schemes have no block schedule; zero keeps the
-        // field honest rather than inventing a TT-shaped count.
-        encoded_blocks: 0,
-        fault: None,
-    })
 }
 
 #[cfg(test)]
@@ -1152,23 +1137,23 @@ mod tests {
 
     #[test]
     fn serves_alternative_schemes_and_refuses_faults_on_them() {
-        use imt_core::scheme::{build_scheme, evaluate_scheme_auto, SchemeSpec};
+        use imt_core::scheme::{build_scheme, SchemeSpec};
         let spec = Kernel::Tri.test_spec();
         // Reference: the arena's own auto evaluation, run serially.
         let program = spec.assemble();
         let edges =
             FetchEdgeProfile::record(&program, spec.max_steps).expect("reference run succeeds");
         let config = EncoderConfig::default();
-        let mut scheme = build_scheme(
+        let scheme = build_scheme(
             SchemeSpec::Gray,
             &program,
             &edges.per_index_counts(),
             &config,
         )
         .expect("gray build is total");
-        let (reference, _) = evaluate_scheme_auto(
-            scheme.as_mut(),
+        let (reference, _) = evaluate_auto(
             &program,
+            scheme.as_ref(),
             spec.max_steps,
             Some(&edges),
             EvalNeeds::transitions_only(),
@@ -1180,7 +1165,7 @@ mod tests {
             .submit(request(Kernel::Tri).with_scheme(SchemeSpec::Gray))
             .expect("queue open");
         let done = ticket.wait().outcome.expect("gray serves");
-        assert_eq!(done.evaluation, reference.to_evaluation());
+        assert_eq!(done.evaluation, reference);
         assert_eq!(done.encoded_blocks, 0, "gray has no block schedule");
 
         // A cycle-state scheme must come back from full simulation.

@@ -8,8 +8,8 @@
 //!    with its in-crate naive oracle.
 //! 2. **Replay ≡ full simulation**: for every memoryless scheme, on
 //!    every paper kernel (TT at block sizes 4–7), the closed-form
-//!    profile replay produces the *same* [`SchemeEvaluation`] as
-//!    actually running the program — the replay shortcut buys time, not
+//!    profile replay produces the *same* `Evaluation` as actually
+//!    running the program — the replay shortcut buys time, not
 //!    different numbers.
 //! 3. **Cycle-state refusal**: bus-invert depends on per-cycle bus
 //!    history a weighted edge multiset cannot carry; the replay path
@@ -19,10 +19,10 @@
 use imt::bitcode::businvert::{BusInvertNaive, BusInvertState};
 use imt::bitcode::gray::{gray_image, gray_word, gray_word_naive, ungray_word, ungray_word_naive};
 use imt::bitcode::lowweight::{low_weight_codewords, low_weight_codewords_naive, LowWeightBook};
-use imt::core::eval::{EvalNeeds, EvalPath, FullSimReason};
-use imt::core::scheme::{
-    build_scheme, evaluate_scheme_auto, evaluate_scheme_full, evaluate_scheme_replay, SchemeSpec,
+use imt::core::eval::{
+    evaluate, evaluate_auto, evaluate_replay, EvalNeeds, EvalPath, FullSimReason,
 };
+use imt::core::scheme::{build_scheme, SchemeSpec};
 use imt::core::{CoreError, EncoderConfig};
 use imt::kernels::Kernel;
 use imt::sim::edge::FetchEdgeProfile;
@@ -132,11 +132,11 @@ fn replay_equals_full_sim_for_every_memoryless_scheme_on_every_kernel() {
             ));
         }
         for (label, spec, config) in cases {
-            let mut scheme = build_scheme(spec, &program, &per_index, &config)
+            let scheme = build_scheme(spec, &program, &per_index, &config)
                 .unwrap_or_else(|e| panic!("{kernel:?}/{label}: build failed: {e}"));
-            let replayed = evaluate_scheme_replay(scheme.as_ref(), &program, &profile)
+            let replayed = evaluate_replay(&program, scheme.as_ref(), &profile)
                 .unwrap_or_else(|e| panic!("{kernel:?}/{label}: replay failed: {e}"));
-            let full = evaluate_scheme_full(scheme.as_mut(), &program, max_steps)
+            let full = evaluate(&program, scheme.as_ref(), max_steps)
                 .unwrap_or_else(|e| panic!("{kernel:?}/{label}: full sim failed: {e}"));
             assert_eq!(
                 replayed, full,
@@ -155,21 +155,21 @@ fn cycle_state_scheme_is_refused_by_replay_on_every_kernel() {
     for &kernel in &Kernel::ALL {
         let (program, profile, max_steps) = kernel_fixture(kernel);
         let per_index = profile.per_index_counts();
-        let mut scheme = build_scheme(
+        let scheme = build_scheme(
             SchemeSpec::BusInvert,
             &program,
             &per_index,
             &EncoderConfig::default(),
         )
         .expect("bus-invert build is total");
-        let refused = evaluate_scheme_replay(scheme.as_ref(), &program, &profile);
+        let refused = evaluate_replay(&program, scheme.as_ref(), &profile);
         assert!(
             matches!(refused, Err(CoreError::ReplayInfeasible { .. })),
             "{kernel:?}: cycle-state replay must be ReplayInfeasible, got {refused:?}"
         );
-        let (evaluation, path) = evaluate_scheme_auto(
-            scheme.as_mut(),
+        let (evaluation, path) = evaluate_auto(
             &program,
+            scheme.as_ref(),
             max_steps,
             Some(&profile),
             EvalNeeds::transitions_only(),
@@ -184,34 +184,40 @@ fn cycle_state_scheme_is_refused_by_replay_on_every_kernel() {
     }
 }
 
-/// Every scheme's reduction reads the same in both result shapes — the
-/// arena's `SchemeEvaluation` and the `Evaluation` that serving returns —
-/// including when an encoding adds transitions (Gray on mmul), where the
-/// pipeline shape used to subtract in `u64`.
+/// Every scheme's reduction reads the same from replay and from full
+/// simulation, and is signed: an encoding that adds transitions (Gray on
+/// mmul) reads negative rather than wrapping in `u64`.
 #[test]
-fn reduction_percent_agrees_across_result_shapes_on_every_kernel() {
+fn reduction_percent_is_signed_and_agrees_across_paths_on_every_kernel() {
     let mut negative = 0;
     for &kernel in &Kernel::ALL {
         let (program, profile, max_steps) = kernel_fixture(kernel);
         let per_index = profile.per_index_counts();
         for spec in SchemeSpec::ALL {
-            let mut scheme = build_scheme(spec, &program, &per_index, &EncoderConfig::default())
+            let scheme = build_scheme(spec, &program, &per_index, &EncoderConfig::default())
                 .unwrap_or_else(|e| panic!("{kernel:?}/{}: build failed: {e}", spec.name()));
-            let (evaluation, _) = evaluate_scheme_auto(
-                scheme.as_mut(),
+            let (evaluation, _) = evaluate_auto(
                 &program,
+                scheme.as_ref(),
                 max_steps,
                 Some(&profile),
                 EvalNeeds::transitions_only(),
             )
             .unwrap_or_else(|e| panic!("{kernel:?}/{}: eval failed: {e}", spec.name()));
+            let full = evaluate(&program, scheme.as_ref(), max_steps)
+                .unwrap_or_else(|e| panic!("{kernel:?}/{}: full sim failed: {e}", spec.name()));
             let percent = evaluation.reduction_percent();
             assert_eq!(
-                evaluation.to_evaluation().reduction_percent(),
+                full.reduction_percent(),
                 percent,
                 "{kernel:?}/{}",
                 spec.name()
             );
+            let signed = (evaluation.baseline_transitions as f64
+                - evaluation.encoded_transitions as f64)
+                / evaluation.baseline_transitions as f64
+                * 100.0;
+            assert_eq!(percent, signed, "{kernel:?}/{}", spec.name());
             negative += usize::from(percent < 0.0);
         }
     }

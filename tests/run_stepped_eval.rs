@@ -1,11 +1,12 @@
 //! Run-stepped full-simulation evaluation against a per-fetch reference.
 //!
-//! `evaluate` and `evaluate_scheme_full` hand their sinks whole
-//! straight-line runs: the bus monitors count a run in one pass, the TT
-//! decoder restores it segment by segment, and a scheme drives it in one
-//! call. The reference here rebuilds both evaluations from the public
-//! per-fetch pieces only — `DataBusMonitor::observe`,
-//! `FetchDecoder::on_fetch` and `Encoder::sim_fetch` — driven by a
+//! `evaluate` hands its sink whole straight-line runs: the bus monitors
+//! count a run in one pass, the TT decoder restores it segment by
+//! segment, bus-invert drives it in one loop and a memoryless image
+//! restores it from its decoded words. The reference here rebuilds the
+//! evaluation from the public per-fetch pieces only —
+//! `DataBusMonitor::observe`, `FetchDecoder::on_fetch`,
+//! `BusInvertState::drive` and `Encoder::decode_word` — driven by a
 //! `Cpu::step` loop. On generated programs (faults mid-run, budget cuts,
 //! a callee returning to two call sites) and on the six kernels at test
 //! scale, under TT at k = 2..7 with both overlap modes, Gray, low-weight
@@ -17,13 +18,12 @@
 mod programs;
 
 use imt::bitcode::block::OverlapHistory;
+use imt::bitcode::businvert::BusInvertState;
 use imt::bitcode::Transform;
 use imt::core::eval::{evaluate, Evaluation};
 use imt::core::hardware::{FetchDecoder, TransformationTable};
 use imt::core::pipeline::BUS_WIDTH;
-use imt::core::scheme::{
-    build_scheme, evaluate_scheme_full, Encoder, SchemeEvaluation, SchemeSpec, TtBbitScheme,
-};
+use imt::core::scheme::{build_scheme, Encoder, ReplayClass, SchemeSpec};
 use imt::core::{encode_program, CoreError, EncodedProgram, EncoderConfig};
 use imt::isa::program::Program;
 use imt::kernels::Kernel;
@@ -109,10 +109,13 @@ fn evaluate_per_fetch(
     })
 }
 
-/// `evaluate_scheme_full`'s sink, one fetch at a time.
+/// `evaluate`'s sink for the schemes other than TT/BBIT, one fetch at a
+/// time: a memoryless image is driven as stored and restored by
+/// `decode_word`; bus-invert drives each word through its own
+/// `BusInvertState` and charges the invert line.
 struct SchemeReference<'a> {
-    scheme: &'a mut dyn Encoder,
-    stored: Vec<u32>,
+    scheme: &'a dyn Encoder,
+    bus_invert: Option<BusInvertState>,
     text_base: u32,
     baseline: DataBusMonitor,
     driven: DataBusMonitor,
@@ -123,28 +126,33 @@ struct SchemeReference<'a> {
 
 impl FetchSink for SchemeReference<'_> {
     fn on_fetch(&mut self, pc: u32, word: u32) {
-        let stored = self.stored[((pc - self.text_base) / 4) as usize];
+        let stored = self.scheme.stored_image()[((pc - self.text_base) / 4) as usize];
         self.baseline.observe(u64::from(word));
-        let step = self.scheme.sim_fetch(pc, stored);
-        self.driven.observe(u64::from(step.driven));
-        self.extra += step.extra_transitions;
+        let (restored, driven) = match &mut self.bus_invert {
+            Some(state) => {
+                let step = state.drive(stored);
+                self.extra += step.invert_transitions;
+                (BusInvertState::restore(&step), step.bus)
+            }
+            None => (self.scheme.decode_word(stored), stored),
+        };
+        self.driven.observe(u64::from(driven));
         self.decoded_fetches += u64::from(stored != word);
-        self.check.fetch(pc, step.restored, word);
+        self.check.fetch(pc, restored, word);
     }
 }
 
-/// `evaluate_scheme_full` rebuilt from per-fetch pieces, for a scheme
-/// other than TT/BBIT.
+/// `evaluate` rebuilt from per-fetch pieces, for a scheme other than
+/// TT/BBIT.
 fn evaluate_scheme_per_fetch(
-    scheme: &mut dyn Encoder,
+    scheme: &dyn Encoder,
     program: &Program,
     max_steps: u64,
-) -> Result<SchemeEvaluation, CoreError> {
-    scheme.reset();
+) -> Result<Evaluation, CoreError> {
     let mut cpu = Cpu::new(program)?;
     let mut sink = SchemeReference {
-        stored: scheme.stored_image().to_vec(),
         scheme,
+        bus_invert: (scheme.replay_class() == ReplayClass::CycleState).then(BusInvertState::new),
         text_base: program.text_base,
         baseline: DataBusMonitor::new(BUS_WIDTH),
         driven: DataBusMonitor::new(BUS_WIDTH),
@@ -156,15 +164,15 @@ fn evaluate_scheme_per_fetch(
     if let Some(error) = sink.check.first {
         return Err(error);
     }
-    Ok(SchemeEvaluation {
+    Ok(Evaluation {
         fetches: summary.instructions,
         baseline_transitions: sink.baseline.total_transitions(),
         encoded_transitions: sink.driven.total_transitions() + sink.extra,
         per_lane_baseline: sink.baseline.per_lane(),
         per_lane_encoded: sink.driven.per_lane(),
-        extra_line_transitions: sink.extra,
-        decoded_fetches: sink.decoded_fetches,
         decode_mismatches: sink.check.mismatches,
+        decoded_fetches: sink.decoded_fetches,
+        passthrough_fetches: summary.instructions - sink.decoded_fetches,
         exit_code: summary.exit_code,
         stdout: cpu.stdout().to_string(),
     })
@@ -222,31 +230,13 @@ fn assert_run_stepped_matches_per_fetch(
             config.overlap()
         );
         decoded += reference.as_ref().map_or(0, |e| e.decoded_fetches);
-        // The scheme router's TT route is `evaluate` in the common shape.
-        let mut scheme = TtBbitScheme::new(encoded);
-        let reference = reference.map(|e| SchemeEvaluation {
-            fetches: e.fetches,
-            baseline_transitions: e.baseline_transitions,
-            encoded_transitions: e.encoded_transitions,
-            per_lane_baseline: e.per_lane_baseline,
-            per_lane_encoded: e.per_lane_encoded,
-            extra_line_transitions: 0,
-            decoded_fetches: e.decoded_fetches,
-            decode_mismatches: e.decode_mismatches,
-            exit_code: e.exit_code,
-            stdout: e.stdout,
-        });
-        assert_eq!(
-            evaluate_scheme_full(&mut scheme, program, max_steps),
-            reference
-        );
     }
     for spec in SCHEMES {
-        let mut scheme = build_scheme(spec, program, &per_index, &EncoderConfig::default())
+        let scheme = build_scheme(spec, program, &per_index, &EncoderConfig::default())
             .expect("scheme builds");
-        let reference = evaluate_scheme_per_fetch(scheme.as_mut(), program, max_steps);
+        let reference = evaluate_scheme_per_fetch(scheme.as_ref(), program, max_steps);
         assert_eq!(
-            evaluate_scheme_full(scheme.as_mut(), program, max_steps),
+            evaluate(program, scheme.as_ref(), max_steps),
             reference,
             "{}",
             spec.name()

@@ -10,8 +10,8 @@
 //! strategies, 1..=6 loops, with and without called functions. Every
 //! staged `EncodedProgram` must equal a fresh `encode_program`; every
 //! staged replay must equal `evaluate_replay` and full simulation as whole
-//! structs; Gray and low-weight through the basis must equal full
-//! simulation; and a corrupted image word or complemented TT entry must
+//! structs; Gray and low-weight through the basis must equal the one-shot
+//! replay and full simulation; and a corrupted image word or complemented TT entry must
 //! fail the staged replay with the one-shot replay's `DecodeMismatch`.
 
 // Only the program generator is used here, not the per-fetch step loop.
@@ -29,10 +29,7 @@ use imt::core::eval::{
 };
 use imt::core::hardware::TransformationTable;
 use imt::core::pipeline::select;
-use imt::core::scheme::{
-    build_scheme, evaluate_scheme_full, evaluate_scheme_replay, evaluate_scheme_replay_with,
-    SchemeSpec,
-};
+use imt::core::scheme::{build_scheme, SchemeSpec};
 use imt::core::{
     encode_program, CodecSettings, CoreError, EncodedProgram, EncoderConfig, PreparedCodec,
     ProgramAnalysis,
@@ -134,23 +131,23 @@ impl Stages {
             },
         ];
         for spec in specs {
-            let mut scheme = build_scheme(
+            let scheme = build_scheme(
                 spec,
                 &self.program,
                 self.basis.per_index(),
                 &EncoderConfig::default(),
             )
             .expect("scheme builds");
-            let staged = evaluate_scheme_replay_with(scheme.as_ref(), &self.program, &self.basis);
+            let staged = self.basis.replay(&self.program, scheme.as_ref());
             assert_eq!(
                 staged,
-                evaluate_scheme_replay(scheme.as_ref(), &self.program, &self.edges),
+                evaluate_replay(&self.program, scheme.as_ref(), &self.edges),
                 "{}",
                 spec.name()
             );
             assert_eq!(
                 staged,
-                evaluate_scheme_full(scheme.as_mut(), &self.program, self.max_steps),
+                evaluate(&self.program, scheme.as_ref(), self.max_steps),
                 "{}",
                 spec.name()
             );
@@ -294,7 +291,7 @@ fn stages_built_for_another_program_are_refused_typed() {
     )
     .expect("gray builds");
     assert!(matches!(
-        evaluate_scheme_replay_with(gray.as_ref(), &tri.program, &fft.basis),
+        fft.basis.replay(&tri.program, gray.as_ref()),
         Err(CoreError::ProfileLength { .. })
     ));
 
