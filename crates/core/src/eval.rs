@@ -239,6 +239,8 @@ fn differing(stored: &[u32], words: &[u32]) -> u64 {
 ///
 /// # Errors
 ///
+/// [`CoreError::TableImage`] if the stored image is not as long as the
+/// program text, as replay refuses it;
 /// [`CoreError::Sim`] if the program faults or exceeds `max_steps`;
 /// [`CoreError::DecodeMismatch`] if the bus model ever restores a word
 /// incorrectly (the evaluation numbers would be meaningless).
@@ -248,6 +250,11 @@ pub fn evaluate(
     max_steps: u64,
 ) -> Result<Evaluation, CoreError> {
     let _span = imt_obs::span!("core.evaluate");
+    if encoder.stored_image().len() != program.text.len() {
+        return Err(CoreError::TableImage {
+            detail: "encoded image length differs from the program text",
+        });
+    }
     let mut cpu = Cpu::new(program)?;
     let mut sink = EvalSink {
         stored: encoder.stored_image(),
@@ -902,6 +909,21 @@ mod tests {
         encoded.text[index] ^= 1 << 7;
         let err = evaluate_replay(&program, &encoded, &profile).unwrap_err();
         assert!(matches!(err, crate::CoreError::DecodeMismatch { .. }));
+    }
+
+    #[test]
+    fn both_paths_refuse_a_truncated_image_with_the_same_typed_error() {
+        let (program, mut encoded) = pipeline(LOOP_PROGRAM, &EncoderConfig::default());
+        let profile = record(&program);
+        encoded.text.pop();
+        let expected = crate::CoreError::TableImage {
+            detail: "encoded image length differs from the program text",
+        };
+        assert_eq!(
+            evaluate(&program, &encoded, 10_000_000),
+            Err(expected.clone())
+        );
+        assert_eq!(evaluate_replay(&program, &encoded, &profile), Err(expected));
     }
 
     #[test]

@@ -27,11 +27,12 @@
 //!    the server's explicit back-off refusals
 //!    ([`crate::msg::RemoteError::is_retryable`] — overload and quota).
 //!    A typed permanent failure returns immediately.
-//! 3. **The deadline always wins.** TCP connect timeouts, socket
-//!    timeouts and backoff sleeps are clamped to the remaining budget,
-//!    and no attempt starts past the deadline. When the budget runs out,
-//!    the last refusal comes back as data. (A Unix-socket connect takes
-//!    no timeout: it blocks while the listener's backlog is full.)
+//! 3. **The deadline always wins.** Connect timeouts, socket timeouts
+//!    and backoff sleeps are clamped to the remaining budget, and no
+//!    attempt starts past the deadline. When the budget runs out, the
+//!    last refusal comes back as data. A Unix-socket connect is
+//!    nonblocking and retried while the listener's backlog is full, so
+//!    it times out like a TCP one instead of blocking.
 //!
 //! Each failed attempt is followed by an exponential backoff (10 ms
 //! doubling up to 500 ms) with multiplicative jitter in `[0.5, 1.5)`
@@ -42,6 +43,8 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::io::{self, Read, Write};
+use std::os::unix::net::UnixStream;
+use std::path::Path;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -61,7 +64,95 @@ const BACKOFF_CAP: Duration = Duration::from_millis(500);
 #[derive(Debug)]
 enum ClientSock {
     Tcp(std::net::TcpStream),
-    Unix(std::os::unix::net::UnixStream),
+    Unix(UnixStream),
+}
+
+/// Dials a Unix socket within `timeout`. `UnixStream::connect` blocks for
+/// as long as the listener's backlog is full; a nonblocking connect fails
+/// at once with `WouldBlock` there instead, and is retried with short
+/// sleeps until the listener takes it or the time is up.
+fn connect_unix(path: &Path, timeout: Duration) -> io::Result<UnixStream> {
+    let started = Instant::now();
+    let mut pause = Duration::from_millis(1);
+    loop {
+        match unix_sys::connect_nonblocking(path) {
+            Ok(stream) => {
+                stream.set_nonblocking(false)?;
+                return Ok(stream);
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+            Err(e) => return Err(e),
+        }
+        match timeout.checked_sub(started.elapsed()) {
+            Some(left) if !left.is_zero() => std::thread::sleep(pause.min(left)),
+            _ => {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "the Unix listener's backlog stayed full until the connect timeout",
+                ))
+            }
+        }
+        pause = (pause * 2).min(Duration::from_millis(20));
+    }
+}
+
+/// A nonblocking `connect(2)` on a fresh `AF_UNIX` stream socket, which
+/// the standard library does not offer. Raw declarations against the libc
+/// `std` already links, like the reactor's epoll bindings.
+mod unix_sys {
+    use std::io;
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+    use std::os::raw::c_int;
+    use std::os::unix::ffi::OsStrExt;
+    use std::os::unix::net::UnixStream;
+    use std::path::Path;
+
+    const AF_UNIX: c_int = 1;
+    const SOCK_STREAM: c_int = 1;
+    const SOCK_NONBLOCK: c_int = 0o4000;
+    const SOCK_CLOEXEC: c_int = 0o2000000;
+
+    /// Mirror of the kernel's `struct sockaddr_un`.
+    #[repr(C)]
+    struct SockaddrUn {
+        sun_family: u16,
+        sun_path: [u8; 108],
+    }
+
+    extern "C" {
+        fn socket(domain: c_int, kind: c_int, protocol: c_int) -> c_int;
+        fn connect(fd: c_int, addr: *const SockaddrUn, len: u32) -> c_int;
+    }
+
+    /// One attempt: `Ok` once connected, `WouldBlock` while the
+    /// listener's backlog is full, any other error as the OS gave it.
+    pub(super) fn connect_nonblocking(path: &Path) -> io::Result<UnixStream> {
+        let bytes = path.as_os_str().as_bytes();
+        let mut addr = SockaddrUn {
+            sun_family: AF_UNIX as u16,
+            sun_path: [0; 108],
+        };
+        if bytes.len() >= addr.sun_path.len() || bytes.contains(&0) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "Unix socket path is too long or holds a NUL byte",
+            ));
+        }
+        addr.sun_path[..bytes.len()].copy_from_slice(bytes);
+        // SAFETY: plain syscall, no pointers.
+        let raw = unsafe { socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
+        if raw < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // SAFETY: `raw` is a fresh descriptor that nothing else owns.
+        let fd = unsafe { OwnedFd::from_raw_fd(raw) };
+        let len = (std::mem::size_of::<u16>() + bytes.len() + 1) as u32;
+        // SAFETY: `addr` outlives the call and `len` lies within it.
+        if unsafe { connect(fd.as_raw_fd(), &addr, len) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(UnixStream::from(fd))
+    }
 }
 
 impl ClientSock {
@@ -81,9 +172,7 @@ impl ClientSock {
                 }
                 Err(last)
             }
-            ListenAddr::Unix(path) => {
-                std::os::unix::net::UnixStream::connect(path).map(ClientSock::Unix)
-            }
+            ListenAddr::Unix(path) => connect_unix(path, timeout).map(ClientSock::Unix),
         }
     }
 
@@ -137,8 +226,8 @@ impl Write for ClientSock {
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Per-socket read/write timeout for each exchange step, and the
-    /// connect timeout for TCP; [`ClientPool::call`] clamps both to the
-    /// remaining deadline.
+    /// connect timeout; [`ClientPool::call`] clamps both to the remaining
+    /// deadline.
     pub io_timeout: Duration,
     /// Total budget for one [`ClientPool::call`]: connects, exchanges
     /// and backoff sleeps.
@@ -232,7 +321,7 @@ impl PersistentClient {
     ///
     /// [`NetError::Wire`] when the socket refuses its timeouts.
     pub fn from_unix_stream(
-        stream: std::os::unix::net::UnixStream,
+        stream: UnixStream,
         io_timeout: Duration,
     ) -> Result<PersistentClient, NetError> {
         let sock = ClientSock::Unix(stream);

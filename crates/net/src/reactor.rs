@@ -7,9 +7,11 @@
 //! the bottleneck: every request costs a handful of context switches.
 //! The reactor instead keeps every connection on a few event loops:
 //!
-//! * **One epoll instance per reactor thread** (N-way sharded; accepted
-//!   sockets are dealt round-robin) owns every connection socket plus an
-//!   `eventfd` waker.
+//! * **One epoll instance per reactor thread** (N-way sharded) owns
+//!   every connection socket plus an `eventfd` waker. Reactor 0's also
+//!   holds the listening socket: it accepts when the listener is readable
+//!   and deals the sockets round-robin, so an idle server sleeps in
+//!   `epoll_wait` and a new connection waits for no poll interval.
 //! * **Per-connection state machines** decode incrementally with
 //!   [`FrameDecoder`] — partial frames simply wait for more bytes, and
 //!   every declared length is bounded *before* allocation, exactly as in
@@ -182,7 +184,8 @@ impl Drop for Poller {
 }
 
 /// An eventfd used to wake a reactor from `epoll_wait` when another
-/// thread (accept, worker completion) has work for it.
+/// thread (reactor 0 dealing a connection, a worker completing) has work
+/// for it.
 struct Waker {
     fd: i32,
 }
@@ -335,6 +338,36 @@ impl ServerStats {
 enum Sock {
     Tcp(std::net::TcpStream),
     Unix(std::os::unix::net::UnixStream),
+}
+
+/// The listening socket, owned by reactor 0.
+enum Listener {
+    Tcp(std::net::TcpListener),
+    Unix(std::os::unix::net::UnixListener),
+}
+
+impl Listener {
+    fn fd(&self) -> i32 {
+        match self {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Unix(l) => l.as_raw_fd(),
+        }
+    }
+
+    fn accept(&self) -> io::Result<Sock> {
+        match self {
+            Listener::Tcp(l) => l.accept().map(|(stream, _)| Sock::Tcp(stream)),
+            Listener::Unix(l) => l.accept().map(|(stream, _)| Sock::Unix(stream)),
+        }
+    }
+}
+
+/// Reactor 0's accepting half: the listener and every reactor's mailbox,
+/// its own included, to deal accepted sockets into.
+struct Acceptor {
+    listener: Listener,
+    mailboxes: Vec<Arc<Mailbox>>,
+    next: usize,
 }
 
 impl Sock {
@@ -521,8 +554,12 @@ impl ConnState {
 /// Token 0 is the reactor's waker; connections get tokens from 1 up.
 const WAKER_TOKEN: u64 = 0;
 
-/// The running reactor server: one accept thread dealing sockets to N
-/// epoll event loops, all feeding the shared [`Service`].
+/// Reactor 0's listening socket.
+const LISTENER_TOKEN: u64 = u64::MAX;
+
+/// The running reactor server: N epoll event loops, the first of which
+/// also accepts and deals sockets round-robin, all feeding the shared
+/// [`Service`].
 ///
 /// The service must run [`Admission::Reject`]: the reactor never blocks,
 /// so a full queue must be a typed refusal rather than a parked event
@@ -530,7 +567,6 @@ const WAKER_TOKEN: u64 = 0;
 pub struct ReactorServer {
     stop: Arc<AtomicBool>,
     stats: Arc<ServerStats>,
-    accept_thread: Option<JoinHandle<()>>,
     reactor_threads: Vec<JoinHandle<()>>,
     mailboxes: Vec<Arc<Mailbox>>,
     local_addr: ListenAddr,
@@ -538,8 +574,8 @@ pub struct ReactorServer {
 }
 
 impl ReactorServer {
-    /// Binds `addr` and starts the accept loop plus
-    /// [`ReactorConfig::reactors`] event loops.
+    /// Binds `addr` and starts [`ReactorConfig::reactors`] event loops,
+    /// the first of which accepts.
     ///
     /// # Errors
     ///
@@ -559,17 +595,13 @@ impl ReactorServer {
                  a blocking submit would stall a whole event loop",
             ));
         }
-        enum Acceptor {
-            Tcp(std::net::TcpListener),
-            Unix(std::os::unix::net::UnixListener),
-        }
         let (listener, local_addr, unix_path) = match addr {
             ListenAddr::Tcp(hostport) => {
                 let listener = std::net::TcpListener::bind(hostport.as_str())?;
                 let bound = listener.local_addr()?;
                 listener.set_nonblocking(true)?;
                 (
-                    Acceptor::Tcp(listener),
+                    Listener::Tcp(listener),
                     ListenAddr::Tcp(bound.to_string()),
                     None,
                 )
@@ -581,7 +613,7 @@ impl ReactorServer {
                 let listener = std::os::unix::net::UnixListener::bind(path)?;
                 listener.set_nonblocking(true)?;
                 (
-                    Acceptor::Unix(listener),
+                    Listener::Unix(listener),
                     ListenAddr::Unix(path.clone()),
                     Some(path.clone()),
                 )
@@ -596,6 +628,11 @@ impl ReactorServer {
             mailboxes.push(Arc::new(Mailbox::new()?));
         }
 
+        let mut acceptor = Some(Acceptor {
+            listener,
+            mailboxes: mailboxes.clone(),
+            next: 0,
+        });
         let mut reactor_threads = Vec::with_capacity(reactors);
         for (i, mailbox) in mailboxes.iter().enumerate() {
             let mailbox = Arc::clone(mailbox);
@@ -605,52 +642,22 @@ impl ReactorServer {
             let config = config.clone();
             let poller = Poller::new()?;
             poller.add(mailbox.waker.fd, sys::EPOLLIN, WAKER_TOKEN)?;
+            let acceptor = acceptor.take();
+            if let Some(acceptor) = &acceptor {
+                poller.add(acceptor.listener.fd(), sys::EPOLLIN, LISTENER_TOKEN)?;
+            }
             reactor_threads.push(
                 std::thread::Builder::new()
                     .name(format!("imt-net-reactor-{i}"))
-                    .spawn(move || reactor_loop(poller, mailbox, service, config, stop, stats))?,
+                    .spawn(move || {
+                        reactor_loop(poller, acceptor, mailbox, service, config, stop, stats)
+                    })?,
             );
         }
-
-        let accept_thread = {
-            let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
-            let mailboxes = mailboxes.clone();
-            std::thread::Builder::new()
-                .name("imt-net-accept".to_string())
-                .spawn(move || {
-                    let mut next = 0usize;
-                    while !stop.load(Ordering::SeqCst) {
-                        let sock = match &listener {
-                            Acceptor::Tcp(l) => match l.accept() {
-                                Ok((stream, _)) => Some(Sock::Tcp(stream)),
-                                Err(_) => None,
-                            },
-                            Acceptor::Unix(l) => match l.accept() {
-                                Ok((stream, _)) => Some(Sock::Unix(stream)),
-                                Err(_) => None,
-                            },
-                        };
-                        match sock {
-                            Some(sock) => {
-                                if sock.set_nonblocking().is_err() {
-                                    continue;
-                                }
-                                stats.connections.fetch_add(1, Ordering::Relaxed);
-                                // Round-robin sharding across reactors.
-                                mailboxes[next % mailboxes.len()].push_conn(sock);
-                                next = next.wrapping_add(1);
-                            }
-                            None => std::thread::sleep(Duration::from_millis(1)),
-                        }
-                    }
-                })?
-        };
 
         Ok(ReactorServer {
             stop,
             stats,
-            accept_thread: Some(accept_thread),
             reactor_threads,
             mailboxes,
             local_addr,
@@ -680,9 +687,6 @@ impl ReactorServer {
         for mailbox in &self.mailboxes {
             mailbox.waker.wake();
         }
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
         for handle in self.reactor_threads.drain(..) {
             let _ = handle.join();
         }
@@ -704,6 +708,7 @@ impl Drop for ReactorServer {
 
 fn reactor_loop(
     poller: Poller,
+    mut acceptor: Option<Acceptor>,
     mailbox: Arc<Mailbox>,
     service: Arc<Service>,
     config: ReactorConfig,
@@ -725,11 +730,16 @@ fn reactor_loop(
         }
 
         let mut woken = false;
+        let mut acceptable = false;
         let mut touched: Vec<u64> = Vec::new();
         for ev in events.iter().copied() {
             let (token, bits) = (ev.data, ev.events);
             if token == WAKER_TOKEN {
                 woken = true;
+                continue;
+            }
+            if token == LISTENER_TOKEN {
+                acceptable = true;
                 continue;
             }
             let Some(conn) = conns.get_mut(&token) else {
@@ -764,29 +774,15 @@ fn reactor_loop(
             }
         }
 
+        if acceptable {
+            if let Some(acceptor) = &mut acceptor {
+                accept_all(acceptor, &stats, &mut intake);
+            }
+        }
         if woken {
             mailbox.waker.drain();
             // New connections dealt to this reactor.
             mailbox.drain_conns(&mut intake);
-            for sock in intake.drain(..) {
-                let token = next_token;
-                next_token += 1;
-                let fd = sock.fd();
-                let conn = ConnState {
-                    sock,
-                    decoder: FrameDecoder::new(),
-                    pending_write: Vec::new(),
-                    write_pos: 0,
-                    in_flight: 0,
-                    interest: sys::EPOLLIN | sys::EPOLLRDHUP,
-                    last_progress: Instant::now(),
-                    peer_closed: false,
-                    encode_scratch: Vec::new(),
-                };
-                if poller.add(fd, conn.interest, token).is_ok() {
-                    conns.insert(token, conn);
-                }
-            }
             // Worker completions: queue the encoded frames now, flush
             // once per connection in the pass below — pipelined
             // responses that completed in the same wake coalesce into
@@ -811,6 +807,25 @@ fn reactor_loop(
                     );
                 }
                 touched.push(completion.token);
+            }
+        }
+        for sock in intake.drain(..) {
+            let token = next_token;
+            next_token += 1;
+            let fd = sock.fd();
+            let conn = ConnState {
+                sock,
+                decoder: FrameDecoder::new(),
+                pending_write: Vec::new(),
+                write_pos: 0,
+                in_flight: 0,
+                interest: sys::EPOLLIN | sys::EPOLLRDHUP,
+                last_progress: Instant::now(),
+                peer_closed: false,
+                encode_scratch: Vec::new(),
+            };
+            if poller.add(fd, conn.interest, token).is_ok() {
+                conns.insert(token, conn);
             }
         }
 
@@ -899,6 +914,40 @@ fn reactor_loop(
     }
     for (_, conn) in conns.drain() {
         poller.delete(conn.sock.fd());
+    }
+}
+
+/// Accepts until the listener would block, dealing sockets round-robin:
+/// the accepting reactor's own share goes straight to `own` (no wake
+/// needed), the others' through their mailboxes.
+fn accept_all(acceptor: &mut Acceptor, stats: &ServerStats, own: &mut Vec<Sock>) {
+    loop {
+        let sock = match acceptor.listener.accept() {
+            Ok(sock) => sock,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                ) =>
+            {
+                continue
+            }
+            // Out of descriptors or similar: the listener stays readable,
+            // so the next wake retries.
+            Err(_) => return,
+        };
+        if sock.set_nonblocking().is_err() {
+            continue;
+        }
+        stats.connections.fetch_add(1, Ordering::Relaxed);
+        let target = acceptor.next % acceptor.mailboxes.len();
+        acceptor.next = acceptor.next.wrapping_add(1);
+        if target == 0 {
+            own.push(sock);
+        } else {
+            acceptor.mailboxes[target].push_conn(sock);
+        }
     }
 }
 

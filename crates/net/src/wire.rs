@@ -167,15 +167,21 @@ impl WireError {
 }
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected), table-driven
+// CRC-32 (IEEE 802.3, reflected), slicing-by-16
 // ---------------------------------------------------------------------
 
-fn crc32_table() -> &'static [u32; 256] {
+/// Bytes [`crc32`] folds per step.
+const CRC_SLICES: usize = 16;
+
+/// `tables[0]` is the classic byte-at-a-time table; `tables[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, so one step can look up
+/// sixteen bytes independently and XOR the results.
+fn crc32_tables() -> &'static [[u32; 256]; CRC_SLICES] {
     use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
+    static TABLES: OnceLock<[[u32; 256]; CRC_SLICES]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut tables = [[0u32; 256]; CRC_SLICES];
+        for (i, slot) in tables[0].iter_mut().enumerate() {
             let mut crc = i as u32;
             for _ in 0..8 {
                 crc = if crc & 1 != 0 {
@@ -186,14 +192,41 @@ fn crc32_table() -> &'static [u32; 256] {
             }
             *slot = crc;
         }
-        table
+        for k in 1..CRC_SLICES {
+            for i in 0..256 {
+                let prev = tables[k - 1][i];
+                tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            }
+        }
+        tables
     })
 }
 
 /// CRC-32 (IEEE) over `bytes` — the payload checksum carried in every
-/// frame header.
+/// frame header. Sixteen bytes a step through [`crc32_tables`]; the
+/// value is [`crc32_bytewise`]'s.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
+    let tables = crc32_tables();
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut steps = bytes.chunks_exact(CRC_SLICES);
+    for step in &mut steps {
+        let head = crc ^ u32::from_le_bytes([step[0], step[1], step[2], step[3]]);
+        let mut next = 0;
+        for (i, &b) in head.to_le_bytes().iter().chain(&step[4..]).enumerate() {
+            next ^= tables[CRC_SLICES - 1 - i][b as usize];
+        }
+        crc = next;
+    }
+    for &b in steps.remainder() {
+        crc = (crc >> 8) ^ tables[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !crc
+}
+
+/// The same CRC-32 one table lookup per byte: the plain reference that
+/// [`crc32`] is tested and timed against.
+pub fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let table = &crc32_tables()[0];
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
         crc = (crc >> 8) ^ table[((crc ^ u32::from(b)) & 0xFF) as usize];
@@ -461,11 +494,18 @@ impl FrameView<'_> {
 /// The internal buffer is retained and compacted across frames, so a
 /// long-lived connection decodes in steady state with zero allocations
 /// per frame (the zero-alloc test in `tests/alloc_reuse.rs` pins this).
+/// Its read window stays initialised too: it is zeroed once, when the
+/// buffer grows, so a read costs the bytes it brings and not the
+/// window's size.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// Received bytes live in `buf[start..end]`; `buf[end..]` is the
+    /// read window [`FrameDecoder::fill_from`] reads into.
     buf: Vec<u8>,
     /// Consumed prefix of `buf`; compacted away on the next feed/fill.
     start: usize,
+    /// End of the received bytes.
+    end: usize,
 }
 
 /// Bytes [`FrameDecoder::fill_from`] asks the reader for per call.
@@ -479,7 +519,7 @@ impl FrameDecoder {
 
     /// Bytes buffered but not yet drained as frames.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// True when the buffer holds a *partial* frame — the signal that an
@@ -491,8 +531,8 @@ impl FrameDecoder {
     /// Drops the consumed prefix, reusing the buffer's capacity.
     fn compact(&mut self) {
         if self.start > 0 {
-            self.buf.copy_within(self.start.., 0);
-            self.buf.truncate(self.buf.len() - self.start);
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
     }
@@ -500,7 +540,14 @@ impl FrameDecoder {
     /// Appends raw socket bytes to the decode buffer.
     pub fn feed(&mut self, bytes: &[u8]) {
         self.compact();
-        self.buf.extend_from_slice(bytes);
+        let end = self.end + bytes.len();
+        if end <= self.buf.len() {
+            self.buf[self.end..end].copy_from_slice(bytes);
+        } else {
+            self.buf.truncate(self.end);
+            self.buf.extend_from_slice(bytes);
+        }
+        self.end = end;
     }
 
     /// Reads once from `r` directly into the buffer (at most
@@ -515,24 +562,20 @@ impl FrameDecoder {
     /// is retried internally).
     pub fn fill_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
         self.compact();
-        let data_end = self.buf.len();
-        // Grow len (not capacity, in steady state) to open a read window.
-        self.buf.resize(data_end + DECODER_READ_CHUNK, 0);
-        let got = loop {
-            match r.read(&mut self.buf[data_end..]) {
-                Ok(n) => break Ok(n),
+        let window_end = self.end + DECODER_READ_CHUNK;
+        if self.buf.len() < window_end {
+            // Zero only the growth; the window beyond `end` already holds
+            // initialised (stale) bytes that the read overwrites.
+            self.buf.resize(window_end, 0);
+        }
+        loop {
+            match r.read(&mut self.buf[self.end..window_end]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => break Err(e),
-            }
-        };
-        match got {
-            Ok(n) => {
-                self.buf.truncate(data_end + n);
-                Ok(n)
-            }
-            Err(e) => {
-                self.buf.truncate(data_end);
-                Err(e)
+                Err(e) => return Err(e),
             }
         }
     }

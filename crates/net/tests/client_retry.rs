@@ -233,3 +233,52 @@ fn a_non_idempotent_request_gets_its_refusal_on_the_first_attempt() {
     assert_eq!(response.outcome, Err(quota_refusal()));
     assert_eq!(answered.load(Ordering::SeqCst), 1);
 }
+
+#[test]
+fn a_full_backlog_unix_listener_times_out_within_the_deadline() {
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn listen(fd: i32, backlog: i32) -> i32;
+    }
+    const DEADLINE: Duration = Duration::from_millis(400);
+    // Retry sleeps are at most 20 ms, and the last one is clamped to the
+    // time left; the rest covers the syscalls and a busy host.
+    const SLACK: Duration = Duration::from_millis(150);
+    let path = unique_sock("backlog");
+    let listener = UnixListener::bind(&path).expect("bind");
+    // A backlog of 0 holds one pending connection and refuses the next;
+    // nothing ever accepts.
+    // SAFETY: plain syscall on a descriptor the listener owns.
+    assert_eq!(unsafe { listen(listener.as_raw_fd(), 0) }, 0);
+    let _pending = UnixStream::connect(&path).expect("the one pending slot");
+
+    let config = PoolConfig::default()
+        .with_deadline(DEADLINE)
+        .with_io_timeout(Duration::from_millis(150));
+    let pool = ClientPool::new(ListenAddr::Unix(path), config);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let caller = std::thread::spawn(move || {
+        let started = Instant::now();
+        let outcome = pool.call(&NetRequest::new("tri", true));
+        let _ = tx.send((outcome, started.elapsed()));
+    });
+    // A connect that ignores the deadline never returns; fail instead of
+    // hanging the suite.
+    let (outcome, elapsed) = rx
+        .recv_timeout(DEADLINE + Duration::from_secs(5))
+        .expect("the connect blocked past its deadline");
+    caller.join().expect("the calling thread finished cleanly");
+    let err = outcome.expect_err("nothing accepts");
+    let timed_out = NetError::Wire(imt_net::wire::WireError::Io {
+        kind: std::io::ErrorKind::TimedOut.to_string(),
+    });
+    assert!(
+        matches!(&err, NetError::RetriesExhausted { last, .. } if **last == timed_out),
+        "got {err:?}"
+    );
+    assert!(
+        elapsed <= DEADLINE + SLACK,
+        "the connect overran its {DEADLINE:?} deadline: {elapsed:?}"
+    );
+    drop(listener);
+}

@@ -6,13 +6,25 @@
 //! *not* stored here — the simulated core is Harvard-style, fetching from
 //! the decoded program image ([`crate::cpu::Cpu`]), which mirrors the
 //! paper's separation of the instruction memory path from the data path.
+//!
+//! The page table has two levels, so a fresh memory costs what the
+//! program touches rather than what the address space could hold: 512
+//! inline slots, one per 4 MiB span, each pointing to a 1024-slot table of
+//! pages that is allocated on the first write into its span. A kernel
+//! touching its data segment and its stack allocates two such tables.
 
 use crate::error::SimError;
 
 const PAGE_BITS: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
+/// log2 of the span one second-level table covers (4 MiB).
+const CHUNK_BITS: u32 = 22;
+const CHUNK_PAGES: usize = 1 << (CHUNK_BITS - PAGE_BITS);
 const USER_SPACE: u32 = 0x8000_0000;
-const PAGES: usize = (USER_SPACE >> PAGE_BITS) as usize;
+const CHUNKS: usize = (USER_SPACE >> CHUNK_BITS) as usize;
+
+type Page = [u8; PAGE_SIZE];
+type Chunk = [Option<Box<Page>>; CHUNK_PAGES];
 
 /// Byte-addressable, little-endian, zero-initialised sparse memory.
 ///
@@ -29,7 +41,7 @@ const PAGES: usize = (USER_SPACE >> PAGE_BITS) as usize;
 /// # }
 /// ```
 pub struct Memory {
-    pages: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
+    chunks: [Option<Box<Chunk>>; CHUNKS],
     /// Bytes in pages actually allocated (for diagnostics).
     resident: usize,
 }
@@ -51,9 +63,10 @@ impl Default for Memory {
 impl Memory {
     /// Creates an empty memory.
     pub fn new() -> Self {
-        let mut pages = Vec::new();
-        pages.resize_with(PAGES, || None);
-        Memory { pages, resident: 0 }
+        Memory {
+            chunks: [const { None }; CHUNKS],
+            resident: 0,
+        }
     }
 
     /// Bytes of currently allocated backing store.
@@ -74,19 +87,24 @@ impl Memory {
         Ok(())
     }
 
+    // Both lookups take a checked address (below `USER_SPACE`), so the
+    // masks change no index; they only let the compiler drop the bounds
+    // checks.
+
     #[inline]
-    fn page(&self, address: u32) -> Option<&[u8; PAGE_SIZE]> {
-        self.pages[(address >> PAGE_BITS) as usize].as_deref()
+    fn page(&self, address: u32) -> Option<&Page> {
+        let chunk = self.chunks[(address >> CHUNK_BITS) as usize & (CHUNKS - 1)].as_deref()?;
+        chunk[(address >> PAGE_BITS) as usize & (CHUNK_PAGES - 1)].as_deref()
     }
 
     #[inline]
-    fn page_mut(&mut self, address: u32) -> &mut [u8; PAGE_SIZE] {
-        let index = (address >> PAGE_BITS) as usize;
-        if self.pages[index].is_none() {
-            self.pages[index] = Some(Box::new([0u8; PAGE_SIZE]));
+    fn page_mut(&mut self, address: u32) -> &mut Page {
+        let chunk = self.chunks[(address >> CHUNK_BITS) as usize & (CHUNKS - 1)]
+            .get_or_insert_with(|| Box::new([const { None }; CHUNK_PAGES]));
+        chunk[(address >> PAGE_BITS) as usize & (CHUNK_PAGES - 1)].get_or_insert_with(|| {
             self.resident += PAGE_SIZE;
-        }
-        self.pages[index].as_deref_mut().expect("just allocated")
+            Box::new([0u8; PAGE_SIZE])
+        })
     }
 
     /// Reads one byte.
@@ -188,27 +206,49 @@ impl Memory {
         self.write_u32(address + 4, (value >> 32) as u32)
     }
 
-    /// Copies a byte slice into memory starting at `address`.
+    /// Copies a byte slice into memory starting at `address`, one page
+    /// slice at a time.
     ///
     /// # Errors
     ///
     /// [`SimError::AccessOutOfRange`] if the slice would cross the top of
-    /// user space.
+    /// user space, naming the first address past it; the bytes below it
+    /// are written, as a byte-by-byte copy would leave them.
     pub fn write_bytes(&mut self, address: u32, bytes: &[u8]) -> Result<(), SimError> {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(address + i as u32, b)?;
+        let mut cursor = address;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            Self::check(cursor, 1)?;
+            let offset = cursor as usize & (PAGE_SIZE - 1);
+            let n = rest.len().min(PAGE_SIZE - offset);
+            self.page_mut(cursor)[offset..offset + n].copy_from_slice(&rest[..n]);
+            // A page ends at or below `USER_SPACE`, so this cannot wrap.
+            cursor += n as u32;
+            rest = &rest[n..];
         }
         Ok(())
     }
 
-    /// Reads `len` bytes starting at `address`.
+    /// Reads `len` bytes starting at `address`, one page slice at a time.
     ///
     /// # Errors
     ///
     /// [`SimError::AccessOutOfRange`] if the range crosses the top of user
     /// space.
     pub fn read_bytes(&self, address: u32, len: usize) -> Result<Vec<u8>, SimError> {
-        (0..len).map(|i| self.read_u8(address + i as u32)).collect()
+        let mut out = Vec::with_capacity(len.min(PAGE_SIZE));
+        let mut cursor = address;
+        while out.len() < len {
+            Self::check(cursor, 1)?;
+            let offset = cursor as usize & (PAGE_SIZE - 1);
+            let n = (len - out.len()).min(PAGE_SIZE - offset);
+            match self.page(cursor) {
+                Some(page) => out.extend_from_slice(&page[offset..offset + n]),
+                None => out.resize(out.len() + n, 0),
+            }
+            cursor += n as u32;
+        }
+        Ok(out)
     }
 
     /// Reads a NUL-terminated string starting at `address` (for the
@@ -221,12 +261,22 @@ impl Memory {
         let mut bytes = Vec::new();
         let mut cursor = address;
         loop {
-            let b = self.read_u8(cursor)?;
-            if b == 0 {
+            Self::check(cursor, 1)?;
+            // An untouched page reads as zero: the string ends here.
+            let Some(page) = self.page(cursor) else {
                 break;
+            };
+            let tail = &page[cursor as usize & (PAGE_SIZE - 1)..];
+            match tail.iter().position(|&b| b == 0) {
+                Some(end) => {
+                    bytes.extend_from_slice(&tail[..end]);
+                    break;
+                }
+                None => {
+                    bytes.extend_from_slice(tail);
+                    cursor += tail.len() as u32;
+                }
             }
-            bytes.push(b);
-            cursor += 1;
         }
         Ok(String::from_utf8_lossy(&bytes).into_owned())
     }
